@@ -23,10 +23,6 @@
  *                    workloads (100 = nominal arrival rate; splash
  *                    apps ignore it).  Default: first CORD_LOAD entry,
  *                    else 100.
- *   --sim-shards N   per-run host-thread budget (RunSetup::simShards):
- *                    N > 1 replays pure-observer detectors on worker
- *                    threads with bit-identical results; 0 = one per
- *                    hardware thread.  Composes with --jobs.
  *
  * Environment knobs (all optional):
  *   CORD_SCALE       workload input scale      (default 2)
@@ -38,7 +34,6 @@
  *                    bench_server (default "50,100,200"); a single
  *                    value also sets the --load default everywhere
  *   CORD_JOBS        default for --jobs        (default 1)
- *   CORD_SIM_SHARDS  default for --sim-shards  (default 1)
  *   CORD_LINT        when set and nonzero, run the cordlint checks
  *                    (docs/ANALYSIS.md) on every experiment run's
  *                    artifacts and abort on any finding
@@ -127,7 +122,6 @@ struct BenchArgs
     unsigned warmup = 1;         //!< untimed repetitions first
     std::string perfOutPath;     //!< "" = the binary's default
     unsigned load = 0;           //!< 0 = resolve from CORD_LOAD / 100
-    unsigned simShards = 1;      //!< per-run host threads
 
     /** Process start, captured by parseArgs: the reference point of
      *  elapsedSec() for manifest wallSeconds stamps. */
@@ -156,7 +150,6 @@ parseArgs(int argc, char **argv)
         a.tool = slash ? slash + 1 : argv[0];
     }
     a.jobs = defaultJobs();
-    a.simShards = defaultSimShards();
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         auto value = [&]() -> const char * {
@@ -184,9 +177,6 @@ parseArgs(int argc, char **argv)
                 std::strtoul(value(), nullptr, 10));
         } else if (arg == "--perf-out") {
             a.perfOutPath = value();
-        } else if (arg == "--sim-shards") {
-            a.simShards = resolveSimShards(static_cast<unsigned>(
-                std::strtoul(value(), nullptr, 10)));
         } else if (arg == "--load") {
             a.load = static_cast<unsigned>(
                 std::strtoul(value(), nullptr, 10));
@@ -199,8 +189,7 @@ parseArgs(int argc, char **argv)
             std::fprintf(stderr,
                          "usage: %s [--jobs N] [--manifest FILE]"
                          " [--json] [--repeat N] [--warmup N]"
-                         " [--perf-out FILE] [--load N]"
-                         " [--sim-shards N]\n",
+                         " [--perf-out FILE] [--load N]\n",
                          a.tool.c_str());
             std::exit(2);
         }
@@ -327,7 +316,6 @@ campaignFor(const std::string &app)
     cfg.injections = envUnsigned("CORD_INJECTIONS", 30);
     cfg.seed = campaignSeed();
     cfg.jobs = args().jobs;
-    cfg.simShards = args().simShards;
     attachLintObserver(cfg);
     return cfg;
 }

@@ -48,7 +48,6 @@ struct PerfCell
     std::uint64_t events = 0;
     std::uint64_t ticks = 0;
     std::uint64_t accesses = 0;
-    Simulation::PdesTelemetry pdes; //!< last repetition's shard counters
 
     double eventsPerSec() const { return rate(events); }
     double ticksPerSec() const { return rate(ticks); }
@@ -99,7 +98,6 @@ measure(const std::string &app, const DetectorSpec &spec)
         setup.workload = app;
         setup.params = params;
         setup.machine = machine;
-        setup.simShards = bench::args().simShards;
         setup.detectors.push_back(det.get());
         // CORD's check/update traffic rides the timed buses, as in the
         // Figure 11 runs, so its bus-charging path is part of the cost.
@@ -110,7 +108,6 @@ measure(const std::string &app, const DetectorSpec &spec)
         cell.events = out.events;
         cell.ticks = out.ticks;
         cell.accesses = out.accesses;
-        cell.pdes = out.pdes;
     };
     cell.medianSec = bench::timedMedianSec(once);
     return cell;
@@ -247,28 +244,6 @@ main(int argc, char **argv)
         t.print(title);
 
     manifest.tables.push_back({title, t.headers(), t.rows()});
-    if (bench::args().simShards > 1) {
-        // Volatile shard telemetry, summed over cells (host-side
-        // counters, never part of the deterministic sections).
-        double laneRecords = 0, laneBatches = 0, lanes = 0;
-        double waitNs = 0, idleNs = 0, joinNs = 0;
-        for (const PerfCell &c : cells) {
-            lanes += double(c.pdes.lanes);
-            laneRecords += double(c.pdes.laneRecords);
-            laneBatches += double(c.pdes.laneBatches);
-            waitNs += double(c.pdes.producerWaitNs);
-            idleNs += double(c.pdes.laneIdleNs);
-            joinNs += double(c.pdes.joinNs);
-        }
-        manifest.shardMetrics["shardsRequested"] =
-            double(bench::args().simShards);
-        manifest.shardMetrics["lanes"] = lanes;
-        manifest.shardMetrics["laneRecords"] = laneRecords;
-        manifest.shardMetrics["laneBatches"] = laneBatches;
-        manifest.shardMetrics["producerWaitSec"] = waitNs * 1e-9;
-        manifest.shardMetrics["laneIdleSec"] = idleNs * 1e-9;
-        manifest.shardMetrics["joinSec"] = joinNs * 1e-9;
-    }
     const std::string outPath = bench::args().perfOutPath.empty()
                                     ? "BENCH_perf.json"
                                     : bench::args().perfOutPath;

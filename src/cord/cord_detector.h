@@ -113,10 +113,6 @@ class CordDetector : public Detector
     /** Bind a sink for timing-coupled runs (may be nullptr). */
     void setTrafficSink(CordTrafficSink *sink) { sink_ = sink; }
 
-    /** Timing-coupled CORD feeds bus charges back into the simulation
-     *  and must stay inline; unbound CORD is a pure observer. */
-    bool pureObserver() const override { return sink_ == nullptr; }
-
     const OrderLog &orderLog() const { return log_; }
 
     /** Current logical clock of @p tid (epoch-extended). */

@@ -95,22 +95,6 @@ class Detector
      *  so the runner can assert machine/detector agreement. */
     virtual DetectorGeometry geometry() const { return {}; }
 
-    /**
-     * True when this detector only *observes* the committed stream and
-     * never feeds anything back into the simulation (no traffic sink,
-     * no timing influence, no reliance on thread-local harness state).
-     * Pure observers are functions of the in-order access stream
-     * alone, so `--sim-shards` may run them on detector-lane worker
-     * threads (cpu/detector_lane.h) with bit-identical results.
-     *
-     * Lane offload is opt-in: the default is false, so a new detector
-     * is replayed inline at the commit tick unless it *explicitly*
-     * declares itself side-effect-free.  A detector bound to a
-     * CordTrafficSink must keep returning false -- its race checks
-     * charge the simulated bus mid-run.
-     */
-    virtual bool pureObserver() const { return false; }
-
     /** Data races found so far. */
     const RaceReport &races() const { return report_; }
 

@@ -42,9 +42,6 @@ class IdealDetector : public Detector
     /** Core-agnostic (histories are global), but thread-sized. */
     DetectorGeometry geometry() const override { return {0, numThreads_}; }
 
-    /** Never feeds timing back: eligible for detector-lane offload. */
-    bool pureObserver() const override { return true; }
-
     /** Current vector clock of @p tid. */
     const VectorClock &threadClock(ThreadId tid) const { return vc_[tid]; }
 

@@ -77,9 +77,6 @@ class VcDetector : public Detector
         return {cfg_.numCores, cfg_.numThreads};
     }
 
-    /** Never feeds timing back: eligible for detector-lane offload. */
-    bool pureObserver() const override { return true; }
-
     const VcConfig &config() const { return cfg_; }
 
     /** Current vector clock of @p tid. */

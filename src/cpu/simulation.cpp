@@ -344,10 +344,8 @@ Simulation::publish(Thread &t, Addr addr, AccessKind kind,
     mix(ev.tid);
     mix(static_cast<std::uint64_t>(kind));
     mix(ev.addr);
-    for (Detector *d : inlineDetectors_)
+    for (Detector *d : detectors_)
         d->onAccess(ev);
-    for (auto &lane : lanes_)
-        lane->onAccess(ev);
 }
 
 void
@@ -395,80 +393,13 @@ Simulation::finishThread(Thread &t)
     cord_assert(!t.finished, "thread finished twice");
     t.finished = true;
     ++finishedThreads_;
-    for (Detector *d : inlineDetectors_)
+    for (Detector *d : detectors_)
         d->onThreadEnd(t.tid, t.instrs);
-    for (auto &lane : lanes_)
-        lane->onThreadEnd(t.tid, t.instrs);
     if (allFinished()) {
         finishTick_ = events_.now();
-        // Lane detectors are pure observers -- their finish() cannot
-        // touch the timing model -- so deferring it to settleLanes()
-        // (after the dispatch loop, on this thread) is byte-equivalent
-        // to the sequential in-loop call.
-        for (Detector *d : inlineDetectors_)
+        for (Detector *d : detectors_)
             d->finish();
     }
-}
-
-void
-Simulation::partitionDetectors()
-{
-    inlineDetectors_ = detectors_;
-    lanes_.clear();
-    pdes_ = PdesTelemetry{};
-    pdes_.shardsRequested = simShards_;
-    // Detectors emit trace events into the thread-local EventTracer;
-    // off-thread replay would silently drop them, so tracing forces the
-    // sequential path (cordsim additionally rejects the flag combo).
-    if (simShards_ <= 1 || EventTracer::active() != nullptr)
-        return;
-    std::vector<Detector *> pure;
-    std::vector<Detector *> inl;
-    for (Detector *d : detectors_)
-        (d->pureObserver() ? pure : inl).push_back(d);
-    const unsigned laneCount = static_cast<unsigned>(
-        std::min<std::size_t>(simShards_ - 1, pure.size()));
-    if (laneCount == 0)
-        return;
-    // Round-robin pure observers across lanes: deterministic grouping,
-    // and the heaviest detectors (listed first by the harness) land on
-    // distinct workers.
-    std::vector<std::vector<Detector *>> groups(laneCount);
-    for (std::size_t i = 0; i < pure.size(); ++i)
-        groups[i % laneCount].push_back(pure[i]);
-    for (auto &g : groups)
-        lanes_.push_back(std::make_unique<DetectorLane>(std::move(g)));
-    inlineDetectors_ = std::move(inl);
-    pdes_.lanes = laneCount;
-}
-
-void
-Simulation::settleLanes(bool runFinish)
-{
-    if (lanes_.empty()) {
-        inlineDetectors_.clear();
-        return;
-    }
-    for (auto &lane : lanes_) {
-        pdes_.joinNs += lane->join();
-        const DetectorLane::Stats &s = lane->stats();
-        pdes_.laneRecords += s.records;
-        pdes_.laneBatches += s.batches;
-        pdes_.producerWaitNs += s.producerWaitNs;
-        pdes_.laneIdleNs += s.workerIdleNs;
-        if (runFinish)
-            for (Detector *d : lane->detectors())
-                d->finish();
-    }
-    // Producer-side stall + end-of-run join is the window-sync cost of
-    // this run; wall-only, so deterministic profile.* stats stay
-    // byte-identical to the sequential path.
-    if (Profiler *p = Profiler::active())
-        p->addWallBlock(ProfDomain::PdesBarrier,
-                        pdes_.producerWaitNs + pdes_.joinNs,
-                        static_cast<std::uint64_t>(lanes_.size()));
-    lanes_.clear();
-    inlineDetectors_.clear();
 }
 
 bool
@@ -476,7 +407,6 @@ Simulation::run(Tick maxTicks)
 {
     for (unsigned i = 0; i < threads_.size(); ++i)
         cord_assert(threads_[i]->spawned, "thread ", i, " never spawned");
-    partitionDetectors();
     if (sched_)
         sched_->begin(static_cast<unsigned>(threads_.size()),
                       static_cast<unsigned>(cores_.size()));
@@ -495,13 +425,8 @@ Simulation::run(Tick maxTicks)
         if (events_.empty())
             cord_panic("event queue drained with ", finishedThreads_,
                        " of ", threads_.size(), " threads finished");
-        if (events_.now() > maxTicks) {
-            // Watchdog: mirror the sequential path (no Detector::
-            // finish()), but drain the lanes so detector state is
-            // consistent with everything published before the abort.
-            settleLanes(/*runFinish=*/false);
-            return false;
-        }
+        if (events_.now() > maxTicks)
+            return false; // watchdog: no Detector::finish()
         events_.step();
         ++steps;
     }
@@ -513,7 +438,6 @@ Simulation::run(Tick maxTicks)
                     std::chrono::steady_clock::now() - dispatchStart)
                     .count()),
             steps);
-    settleLanes(/*runFinish=*/true);
     return true;
 }
 

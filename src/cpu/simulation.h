@@ -18,7 +18,6 @@
 #include <vector>
 
 #include "cord/detector.h"
-#include "cpu/detector_lane.h"
 #include "mem/machine_config.h"
 #include "obs/profiler.h"
 #include "mem/timing_mem.h"
@@ -75,40 +74,6 @@ class Simulation : public CordTrafficSink
 
     /** Install a retirement gate (replay); may be nullptr. */
     void setGate(ExecutionGate *g) { gate_ = g; }
-
-    /**
-     * Host-parallelism budget for this run (`--sim-shards`).  With
-     * shards > 1, pure-observer detectors (Detector::pureObserver) are
-     * replayed on up to shards-1 detector-lane worker threads
-     * (cpu/detector_lane.h); everything order-coupled -- cores, the
-     * memory system, sink-bound detectors -- stays on the calling
-     * thread, whose event order is untouched.  Results are
-     * bit-identical for every value.  Ignored (forced sequential) when
-     * an EventTracer is active, since detectors emit trace events into
-     * thread-local tracers.  Must be called before run().
-     */
-    void
-    setSimShards(unsigned shards)
-    {
-        simShards_ = shards == 0 ? 1 : shards;
-    }
-
-    unsigned simShards() const { return simShards_; }
-
-    /** Host-side telemetry of the parallel lanes (volatile: never part
-     *  of simulated results).  Valid after run(). */
-    struct PdesTelemetry
-    {
-        unsigned shardsRequested = 1; //!< setSimShards value
-        unsigned lanes = 0;           //!< detector lanes actually run
-        std::uint64_t laneRecords = 0; //!< records replayed off-thread
-        std::uint64_t laneBatches = 0; //!< handoff batches
-        std::uint64_t producerWaitNs = 0; //!< backpressure stalls
-        std::uint64_t laneIdleNs = 0;  //!< worker waits for work
-        std::uint64_t joinNs = 0;      //!< end-of-run barrier wait
-    };
-
-    const PdesTelemetry &pdes() const { return pdes_; }
 
     /**
      * Attach a scheduling policy (sched/policy.h); may be nullptr
@@ -246,13 +211,6 @@ class Simulation : public CordTrafficSink
 
     void foldChecksum(Thread &t, Addr addr, std::uint64_t value);
 
-    /** Split detectors_ into inline + lane groups for this run. */
-    void partitionDetectors();
-
-    /** Join all lanes; when @p runFinish, call Detector::finish() on
-     *  lane detectors (on this thread) to mirror the sequential path. */
-    void settleLanes(bool runFinish);
-
     /** Gate-retry delay when a thread is blocked (replay only). */
     static constexpr Tick kGateRetryTicks = 32;
 
@@ -265,10 +223,6 @@ class Simulation : public CordTrafficSink
     std::vector<std::unique_ptr<Thread>> threads_;
     std::vector<Core> cores_;
     std::vector<Detector *> detectors_;
-    std::vector<Detector *> inlineDetectors_; //!< valid during run()
-    std::vector<std::unique_ptr<DetectorLane>> lanes_;
-    PdesTelemetry pdes_;
-    unsigned simShards_ = 1;
     ExecutionGate *gate_ = nullptr;
     SchedulePolicy *sched_ = nullptr;
     ScheduleLog *schedRec_ = nullptr;

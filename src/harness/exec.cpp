@@ -61,38 +61,6 @@ defaultJobs()
     return resolveJobs(envCount("CORD_JOBS"));
 }
 
-unsigned
-resolveSimShards(unsigned requested)
-{
-    if (requested != 0)
-        return requested;
-    const unsigned hw = std::thread::hardware_concurrency();
-    return hw ? hw : 1;
-}
-
-unsigned
-defaultSimShards()
-{
-    return resolveSimShards(envCount("CORD_SIM_SHARDS"));
-}
-
-const char *
-simShardsComboError(unsigned shards, bool traceRequested,
-                    bool profileRequested)
-{
-    if (shards <= 1)
-        return nullptr;
-    if (traceRequested)
-        return "--sim-shards > 1 cannot be combined with --trace: "
-               "detectors emit trace events into a thread-local "
-               "tracer, which off-thread replay would silently drop";
-    if (profileRequested)
-        return "--sim-shards > 1 cannot be combined with --profile: "
-               "per-detector wall attribution needs the detectors on "
-               "the profiled thread";
-    return nullptr;
-}
-
 std::uint64_t
 mixSeed(std::uint64_t seed, std::uint64_t index)
 {

@@ -55,31 +55,6 @@ unsigned resolveJobs(unsigned requested);
 unsigned defaultJobs();
 
 /**
- * Resolve a --sim-shards request to a per-run host-thread budget:
- * 0 means "one per hardware thread" (at least 1), anything else is
- * taken as-is.  Results are bit-identical for every resolved value
- * (Simulation::setSimShards), so this is purely a host-cost knob.
- */
-unsigned resolveSimShards(unsigned requested);
-
-/** Default per-run shard budget: the CORD_SIM_SHARDS environment
- *  variable (resolved via resolveSimShards), or 1. */
-unsigned defaultSimShards();
-
-/**
- * Validate a --sim-shards request against the run's observability
- * flags.  Tracing replays detectors into a thread-local EventTracer
- * and profiling wants per-detector wall attribution on one thread, so
- * both force the sequential path; asking for shards alongside them is
- * a contradiction the CLI rejects (exit 2) instead of silently
- * ignoring.
- * @return nullptr when the combination is valid, else a static
- *         human-readable reason
- */
-const char *simShardsComboError(unsigned shards, bool traceRequested,
-                                bool profileRequested);
-
-/**
  * Derive a statistically independent 64-bit seed for index @p index of
  * a sweep seeded with @p seed (splitmix64 of the pair).  Using this --
  * instead of drawing from one shared generator inside workers -- keeps

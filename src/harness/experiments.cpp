@@ -88,7 +88,6 @@ runCampaign(const CampaignConfig &cfg,
     census.workload = cfg.workload;
     census.params = cfg.params;
     census.machine = cfg.machine;
-    census.simShards = cfg.simShards;
     IdealDetector cleanIdeal(cfg.params.numThreads);
     census.detectors.push_back(&cleanIdeal);
     const RunOutcome censusOut = runWorkload(census);
@@ -166,7 +165,6 @@ runCampaign(const CampaignConfig &cfg,
         setup.machine = cfg.machine;
         setup.filter = &filter;
         setup.maxTicks = watchdog;
-        setup.simShards = cfg.simShards;
         setup.detectors.push_back(art.ideal.get());
         for (auto &d : art.dets)
             setup.detectors.push_back(d.get());

@@ -84,12 +84,6 @@ struct CampaignConfig
      *  means one worker per hardware thread. */
     unsigned jobs = 1;
 
-    /** Host-parallelism budget per run (`--sim-shards`): forwarded to
-     *  RunSetup::simShards for the census and every injection run.
-     *  Bit-identical results for every value; composes with `jobs`
-     *  (each campaign worker spends up to simShards host threads). */
-    unsigned simShards = 1;
-
     /** Attach a TraceRecorder to every injection run (needed by
      *  post-run lint observers; costs memory proportional to the
      *  access count). */

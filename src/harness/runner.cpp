@@ -59,7 +59,6 @@ runWorkload(const RunSetup &setup)
         setup.timingCord->setTrafficSink(&sim);
     if (setup.gate)
         sim.setGate(setup.gate);
-    sim.setSimShards(setup.simShards);
     if (setup.sched)
         sim.setSchedulePolicy(setup.sched, setup.recordSched);
 
@@ -82,7 +81,6 @@ runWorkload(const RunSetup &setup)
     out.removedInstances = rt.removedInstances();
     out.footprintWords = sim.memory().footprintWords();
     out.interleavingSignature = sim.interleavingSignature();
-    out.pdes = sim.pdes();
     for (unsigned t = 0; t < setup.params.numThreads; ++t) {
         out.instrs.push_back(sim.instrCount(static_cast<ThreadId>(t)));
         out.readChecksums.push_back(

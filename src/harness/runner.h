@@ -55,12 +55,6 @@ struct RunSetup
      *  because some injected removals deadlock the application. */
     Tick maxTicks = 0;
 
-    /** Host-parallelism budget (`--sim-shards`): with > 1, pure-
-     *  observer detectors replay on detector-lane worker threads.
-     *  Bit-identical results for every value (see
-     *  Simulation::setSimShards). */
-    unsigned simShards = 1;
-
     /** When set, receives a copy of the workload's address space
      *  (region annotations for race attribution). */
     AddressSpace *captureSpace = nullptr;
@@ -96,12 +90,6 @@ struct RunOutcome
      *  detector metrics stay with the detector objects.  Feed into a
      *  MetricHub (obs/metrics.h) for manifests. */
     StatRegistry stats;
-
-    /** Host-side parallel-lane telemetry.  Deliberately NOT exported
-     *  into `stats`: it is host- and shard-count-dependent, and run
-     *  stats must stay byte-identical across `--sim-shards` values.
-     *  Manifest emission may surface it under includeVolatile only. */
-    Simulation::PdesTelemetry pdes;
 
     std::uint64_t
     totalInstances() const

@@ -14,7 +14,7 @@
 #include <cstdint>
 
 #include "mem/geometry.h"
-#include "mem/lookahead.h"
+#include "mem/timing_constants.h"
 #include "sim/types.h"
 
 namespace cord
@@ -53,8 +53,7 @@ struct MachineConfig
     /** Core issue width: compute blocks retire this many instrs/cycle. */
     unsigned issueWidth = 4;
 
-    /** L1 hit latency (processor cycles).  kL1HitLatency >= 1 is the
-     *  PDES response-lookahead floor (mem/lookahead.h). */
+    /** L1 hit latency (processor cycles). */
     Tick l1HitLatency = kL1HitLatency;
 
     /** Private L2 hit latency. */

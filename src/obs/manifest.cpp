@@ -72,13 +72,6 @@ RunManifest::renderJson(bool includeVolatile) const
                 w.field(k, v);
             w.endObject();
         }
-        if (!shardMetrics.empty()) {
-            w.key("pdes");
-            w.beginObject();
-            for (const auto &[k, v] : shardMetrics)
-                w.field(k, v);
-            w.endObject();
-        }
     }
     w.field("completed", completed);
     w.field("simTicks", simTicks);

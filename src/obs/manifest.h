@@ -78,12 +78,6 @@ struct RunManifest
      *  lives in the "profile.*" metrics instead. */
     std::map<std::string, double> hostProfile;
 
-    /** Parallel-simulation (PDES) lane telemetry: shard counts, lane
-     *  records/batches, producer/worker wait seconds.  Host- and
-     *  shard-count-dependent, so rendered only under includeVolatile
-     *  (the simulated result is bit-identical for any shard count). */
-    std::map<std::string, double> shardMetrics;
-
     MetricHub metrics;
     std::vector<Table> tables;
 

@@ -26,7 +26,6 @@ constexpr DomainInfo kDomains[kProfDomains] = {
     {"cord_history", "cordHistory"},
     {"vc_baseline", "vcBaseline"},
     {"analysis", "analysis"},
-    {"pdes_barrier", "pdesBarrier"},
 };
 
 } // namespace
@@ -80,7 +79,10 @@ Profiler::clear()
     for (unsigned k = 0; k < kProfDomains; ++k) {
         cycles_[k] = 0;
         calls_[k] = 0;
-        wallCountdown_[k] = 1;
+        // Time the last call of each period, never the cold first
+        // call: a domain with fewer calls than one period then has no
+        // samples instead of one unrepresentative one.
+        wallCountdown_[k] = wallPeriod_;
         wallCalls_[k] = 0;
         wallAlways_[k] = 0;
         wallSamples_[k] = 0;

@@ -54,13 +54,11 @@ enum class ProfDomain : std::uint8_t
     CordHistory,    //!< CORD history displacement / walker folds
     VcBaseline,     //!< vector-clock baseline detector
     Analysis,       //!< offline analysis passes (lint, predict)
-    PdesBarrier,    //!< parallel-sim window-sync idle + handoff
-                    //!< (sim/sharded_queue, cpu/detector_lane)
 };
 
 /** Number of distinct attribution domains. */
 constexpr unsigned kProfDomains =
-    static_cast<unsigned>(ProfDomain::PdesBarrier) + 1;
+    static_cast<unsigned>(ProfDomain::Analysis) + 1;
 
 /** Stable lowercase name of @p d ("kernel_dispatch", ...). */
 const char *profDomainName(ProfDomain d);
@@ -79,8 +77,7 @@ class Profiler
     explicit Profiler(std::uint64_t wallPeriod = kDefaultWallPeriod)
         : wallPeriod_(wallPeriod ? wallPeriod : 1)
     {
-        for (unsigned d = 0; d < kProfDomains; ++d)
-            wallCountdown_[d] = 1; // sample each domain's first call
+        clear();
     }
 
     /** The calling thread's active profiler, or nullptr when profiling
@@ -115,7 +112,7 @@ class Profiler
     /// @{ @name Wall-time sampling (used through ProfWallTimer)
 
     /** Register one timed call into @p d; true when this call should
-     *  be measured (first call of every sampling period).  A countdown
+     *  be measured (last call of every sampling period).  A countdown
      *  rather than a modulo: the hot unsampled path is one increment,
      *  one decrement and a branch -- no 64-bit division. */
     bool
@@ -198,8 +195,16 @@ class Profiler
     }
 
     /** Thread-local so one run's ProfilerScope (one run == one thread)
-     *  never absorbs costs from runs on other campaign workers. */
-    static thread_local Profiler *active_;
+     *  never absorbs costs from runs on other campaign workers.
+     *
+     *  Local-exec TLS model: the simulator libraries are only linked
+     *  statically into executables.  Under the default initial-exec
+     *  model, GCC 12's UBSan null check may branch on the flags of an
+     *  `add x@gottpoff(%rip), %reg` that ld rewrites into a flag-less
+     *  `lea` when it relaxes the access to local-exec; the check then
+     *  reads stale flags and reports a null pointer that is not there.
+     *  Local-exec leaves ld nothing to rewrite. */
+    [[gnu::tls_model("local-exec")]] static thread_local Profiler *active_;
 
     std::uint64_t wallPeriod_;
     std::uint64_t cycles_[kProfDomains] = {};

@@ -166,8 +166,12 @@ class EventTracer
 
     /** Thread-local so one run's TracerScope (one run == one thread)
      *  never captures events from runs executing concurrently on other
-     *  workers (see tests/obs_test.cpp TracerThreadIsolation). */
-    static thread_local EventTracer *active_;
+     *  workers (see tests/obs_test.cpp TracerThreadIsolation).
+     *  Local-exec, like Profiler::active_: the simulator libraries are
+     *  only linked statically into executables, and the default
+     *  initial-exec model breaks UBSan builds (see there). */
+    [[gnu::tls_model("local-exec")]] static thread_local EventTracer
+        *active_;
 
     std::size_t capacity_;
     std::vector<TraceEvent> ring_;

@@ -57,7 +57,6 @@ runOneSchedule(const ExploreSpec &spec, unsigned index,
     if (spec.haveInjection)
         setup.filter = &filter;
     setup.maxTicks = spec.maxTicks;
-    setup.simShards = spec.simShards;
     setup.detectors.push_back(&ideal);
     if (cord)
         setup.detectors.push_back(cord.get());

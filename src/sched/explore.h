@@ -39,8 +39,6 @@ struct ExploreSpec
     unsigned schedules = 4;      //!< sample size (schedule 0 = baseline)
     std::uint64_t seed = 0xC02D; //!< base of scheduleSeed (factory.h)
     unsigned jobs = 1;           //!< workers (harness/exec.h semantics)
-    unsigned simShards = 1;      //!< per-run host threads
-                                 //!< (RunSetup::simShards semantics)
 
     /** Optional single-removal injection applied to every schedule. */
     bool haveInjection = false;

@@ -139,32 +139,6 @@ class EventQueue
     /** Number of pending events. */
     std::size_t pending() const { return nodes_.size(); }
 
-    /** Tick of the earliest pending event (kMaxTick when empty).  The
-     *  window scheduler (sim/sharded_queue.h) uses this to compute the
-     *  global simulation floor across shard lanes. */
-    Tick
-    nextTick() const
-    {
-        return nodes_.empty() ? kMaxTick : nodes_.front().when;
-    }
-
-    /**
-     * Run every event strictly before @p horizon (conservative PDES
-     * window drain).  Events scheduled during the drain that still
-     * land before the horizon are executed in the same pass.
-     * @return number of events executed
-     */
-    std::uint64_t
-    runWhileBefore(Tick horizon)
-    {
-        std::uint64_t executed = 0;
-        while (!nodes_.empty() && nodes_.front().when < horizon) {
-            step();
-            ++executed;
-        }
-        return executed;
-    }
-
     /**
      * Run a single event (the earliest one).
      * @return false if the queue was empty.
@@ -350,23 +324,6 @@ class EventQueue
     bool empty() const { return heap_.empty(); }
 
     std::size_t pending() const { return heap_.size(); }
-
-    Tick
-    nextTick() const
-    {
-        return heap_.empty() ? kMaxTick : heap_.top().when;
-    }
-
-    std::uint64_t
-    runWhileBefore(Tick horizon)
-    {
-        std::uint64_t executed = 0;
-        while (!heap_.empty() && heap_.top().when < horizon) {
-            step();
-            ++executed;
-        }
-        return executed;
-    }
 
     bool
     step()

@@ -103,16 +103,10 @@ constexpr std::uint64_t kGoldenDirectoryOrderLog = 0xd793157c69bdce5eULL;
 // opt-in per family.
 constexpr std::uint64_t kGoldenServerOrderLog = 0x80a470cfaec1db92ULL;
 
-/** The host-parallelism grid every golden must be byte-stable over:
- *  --sim-shards x --jobs (PR 10's PDES detector lanes compose with the
- *  campaign worker pool, and neither may perturb observable bytes). */
-constexpr unsigned kShardGrid[] = {1, 2, 8};
-constexpr unsigned kJobsGrid[] = {1, 4};
-
 /** The fixture campaign: small but exercises injections, two detector
  *  families, finite + infinite residency, and the walker. */
 CampaignConfig
-fixtureCampaign(unsigned jobs, unsigned simShards)
+fixtureCampaign(unsigned jobs)
 {
     CampaignConfig cfg;
     cfg.workload = "fft";
@@ -122,17 +116,16 @@ fixtureCampaign(unsigned jobs, unsigned simShards)
     cfg.injections = 6;
     cfg.seed = 1234;
     cfg.jobs = jobs;
-    cfg.simShards = simShards;
     return cfg;
 }
 
 std::string
-campaignManifestBytes(unsigned jobs, unsigned simShards = 1)
+campaignManifestBytes(unsigned jobs)
 {
     const std::vector<DetectorSpec> specs = {cordSpec(16),
                                              vcInfCacheSpec()};
     const CampaignResult r =
-        runCampaign(fixtureCampaign(jobs, simShards), specs);
+        runCampaign(fixtureCampaign(jobs), specs);
     RunManifest m;
     m.tool = "determinism_golden";
     m.seed = 1234;
@@ -148,20 +141,14 @@ TEST(DeterminismGolden, CampaignManifestBytesJobs1And4)
     report("kGoldenCampaignManifest", fnv1a(j1));
     EXPECT_EQ(fnv1a(j1), kGoldenCampaignManifest)
         << "campaign manifest bytes changed vs. the pre-rewrite golden";
-    for (unsigned shards : kShardGrid)
-        for (unsigned jobs : kJobsGrid) {
-            if (shards == 1 && jobs == 1)
-                continue; // j1 is that cell
-            EXPECT_EQ(j1, campaignManifestBytes(jobs, shards))
-                << "campaign manifest differs at --sim-shards " << shards
-                << " --jobs " << jobs;
-        }
+    EXPECT_EQ(j1, campaignManifestBytes(4))
+        << "campaign manifest differs between --jobs 1 and --jobs 4";
 }
 
 /** 16-core directory fixture: the many-core path under campaign load
  *  (banked memTs, sharer probes, per-slice channels). */
 CampaignConfig
-directoryFixtureCampaign(unsigned jobs, unsigned simShards)
+directoryFixtureCampaign(unsigned jobs)
 {
     CampaignConfig cfg;
     cfg.workload = "fft";
@@ -171,19 +158,18 @@ directoryFixtureCampaign(unsigned jobs, unsigned simShards)
     cfg.injections = 6;
     cfg.seed = 1234;
     cfg.jobs = jobs;
-    cfg.simShards = simShards;
     cfg.machine.numCores = 16;
     cfg.machine.coherence = CoherenceKind::Directory;
     return cfg;
 }
 
 std::string
-directoryManifestBytes(unsigned jobs, unsigned simShards = 1)
+directoryManifestBytes(unsigned jobs)
 {
     const std::vector<DetectorSpec> specs = {cordSpec(16),
                                              vcInfCacheSpec()};
     const CampaignResult r =
-        runCampaign(directoryFixtureCampaign(jobs, simShards), specs);
+        runCampaign(directoryFixtureCampaign(jobs), specs);
     RunManifest m;
     m.tool = "determinism_golden_dir16";
     m.seed = 1234;
@@ -199,80 +185,54 @@ TEST(DeterminismGolden, DirectoryManifestBytesJobs1And4)
     report("kGoldenDirectoryManifest", fnv1a(j1));
     EXPECT_EQ(fnv1a(j1), kGoldenDirectoryManifest)
         << "16-core directory campaign manifest bytes changed";
-    for (unsigned shards : kShardGrid)
-        for (unsigned jobs : kJobsGrid) {
-            if (shards == 1 && jobs == 1)
-                continue; // j1 is that cell
-            EXPECT_EQ(j1, directoryManifestBytes(jobs, shards))
-                << "dir16 manifest differs at --sim-shards " << shards
-                << " --jobs " << jobs;
-        }
+    EXPECT_EQ(j1, directoryManifestBytes(4))
+        << "dir16 manifest differs between --jobs 1 and --jobs 4";
 }
 
 TEST(DeterminismGolden, DirectoryOrderLogBytes)
 {
-    auto oneRun = [&](unsigned simShards) {
-        RunSetup setup;
-        setup.workload = "fft";
-        setup.params.numThreads = 16;
-        setup.params.scale = 1;
-        setup.params.seed = 12;
-        setup.machine.numCores = 16;
-        setup.machine.coherence = CoherenceKind::Directory;
-        setup.simShards = simShards;
+    RunSetup setup;
+    setup.workload = "fft";
+    setup.params.numThreads = 16;
+    setup.params.scale = 1;
+    setup.params.seed = 12;
+    setup.machine.numCores = 16;
+    setup.machine.coherence = CoherenceKind::Directory;
 
-        CordConfig cc = CordConfig::forMachine(setup.machine, 16);
-        CordDetector cord(cc);
-        setup.detectors = {&cord};
+    CordConfig cc = CordConfig::forMachine(setup.machine, 16);
+    CordDetector cord(cc);
+    setup.detectors = {&cord};
 
-        const RunOutcome out = runWorkload(setup);
-        EXPECT_TRUE(out.completed);
-        return encodeOrderLog(cord.orderLog());
-    };
-    const std::vector<std::uint8_t> wire = oneRun(1);
+    const RunOutcome out = runWorkload(setup);
+    EXPECT_TRUE(out.completed);
+    const std::vector<std::uint8_t> wire = encodeOrderLog(cord.orderLog());
     ASSERT_FALSE(wire.empty());
     report("kGoldenDirectoryOrderLog", fnv1a(wire));
     EXPECT_EQ(fnv1a(wire), kGoldenDirectoryOrderLog)
         << "16-core directory order-log bytes changed";
-    for (unsigned shards : kShardGrid) {
-        if (shards > 1) {
-            EXPECT_EQ(wire, oneRun(shards))
-                << "dir16 order log differs at --sim-shards " << shards;
-        }
-    }
 }
 
 TEST(DeterminismGolden, OrderLogBytes)
 {
-    auto oneRun = [&](unsigned simShards) {
-        RunSetup setup;
-        setup.workload = "fft";
-        setup.params.numThreads = 4;
-        setup.params.scale = 1;
-        setup.params.seed = 12;
-        setup.simShards = simShards;
+    RunSetup setup;
+    setup.workload = "fft";
+    setup.params.numThreads = 4;
+    setup.params.scale = 1;
+    setup.params.seed = 12;
 
-        CordConfig cc;
-        cc.numCores = setup.machine.numCores;
-        cc.numThreads = 4;
-        CordDetector cord(cc);
-        setup.detectors = {&cord};
+    CordConfig cc;
+    cc.numCores = setup.machine.numCores;
+    cc.numThreads = 4;
+    CordDetector cord(cc);
+    setup.detectors = {&cord};
 
-        const RunOutcome out = runWorkload(setup);
-        EXPECT_TRUE(out.completed);
-        return encodeOrderLog(cord.orderLog());
-    };
-    const std::vector<std::uint8_t> wire = oneRun(1);
+    const RunOutcome out = runWorkload(setup);
+    EXPECT_TRUE(out.completed);
+    const std::vector<std::uint8_t> wire = encodeOrderLog(cord.orderLog());
     ASSERT_FALSE(wire.empty());
     report("kGoldenOrderLog", fnv1a(wire));
     EXPECT_EQ(fnv1a(wire), kGoldenOrderLog)
         << "order-log bytes changed vs. the pre-rewrite golden";
-    for (unsigned shards : kShardGrid) {
-        if (shards > 1) {
-            EXPECT_EQ(wire, oneRun(shards))
-                << "order log differs at --sim-shards " << shards;
-        }
-    }
 }
 
 TEST(DeterminismGolden, ServerOrderLogBytes)
@@ -285,67 +245,50 @@ TEST(DeterminismGolden, ServerOrderLogBytes)
     setup.params.loadPercent = 200;
 
     const CordConfig cc = CordConfig::forMachine(setup.machine, 4);
-    auto oneRun = [&](unsigned simShards) {
+    auto oneRun = [&] {
         CordDetector cord(cc);
         RunSetup s = setup;
-        s.simShards = simShards;
         s.detectors = {&cord};
         const RunOutcome out = runWorkload(s);
         EXPECT_TRUE(out.completed);
         return encodeOrderLog(cord.orderLog());
     };
-    const std::vector<std::uint8_t> wire = oneRun(1);
+    const std::vector<std::uint8_t> wire = oneRun();
     ASSERT_FALSE(wire.empty());
-    EXPECT_EQ(wire, oneRun(1))
+    EXPECT_EQ(wire, oneRun())
         << "jittered spin must still be deterministic per seed";
     report("kGoldenServerOrderLog", fnv1a(wire));
     EXPECT_EQ(fnv1a(wire), kGoldenServerOrderLog)
         << "server-tier order-log bytes changed";
-    for (unsigned shards : kShardGrid) {
-        if (shards > 1) {
-            EXPECT_EQ(wire, oneRun(shards))
-                << "server order log differs at --sim-shards " << shards;
-        }
-    }
 }
 
 TEST(DeterminismGolden, ScheduleLogBytes)
 {
-    auto oneRun = [&](unsigned simShards) {
-        SchedOptions opts;
-        opts.kind = SchedKind::Perturb;
-        auto policy = makeSchedulePolicy(opts, /*campaignSeed=*/77,
-                                         /*runIdx=*/0, /*schedIdx=*/1);
+    SchedOptions opts;
+    opts.kind = SchedKind::Perturb;
+    auto policy = makeSchedulePolicy(opts, /*campaignSeed=*/77,
+                                     /*runIdx=*/0, /*schedIdx=*/1);
 
-        RunSetup setup;
-        setup.workload = "fft";
-        setup.params.numThreads = 4;
-        setup.params.scale = 1;
-        setup.params.seed = 12;
-        setup.simShards = simShards;
-        setup.sched = policy.get();
-        ScheduleLog log;
-        setup.recordSched = &log;
+    RunSetup setup;
+    setup.workload = "fft";
+    setup.params.numThreads = 4;
+    setup.params.scale = 1;
+    setup.params.seed = 12;
+    setup.sched = policy.get();
+    ScheduleLog log;
+    setup.recordSched = &log;
 
-        const RunOutcome out = runWorkload(setup);
-        EXPECT_TRUE(out.completed);
-        log.policyKind = static_cast<std::uint64_t>(SchedKind::Perturb);
-        log.seed = scheduleSeed(77, 0, 1);
-        log.numThreads = 4;
-        log.signature = out.interleavingSignature;
-        return encodeScheduleLog(log);
-    };
-    const std::vector<std::uint8_t> wire = oneRun(1);
+    const RunOutcome out = runWorkload(setup);
+    EXPECT_TRUE(out.completed);
+    log.policyKind = static_cast<std::uint64_t>(SchedKind::Perturb);
+    log.seed = scheduleSeed(77, 0, 1);
+    log.numThreads = 4;
+    log.signature = out.interleavingSignature;
+    const std::vector<std::uint8_t> wire = encodeScheduleLog(log);
     ASSERT_FALSE(wire.empty());
     report("kGoldenScheduleLog", fnv1a(wire));
     EXPECT_EQ(fnv1a(wire), kGoldenScheduleLog)
         << "schedule-log bytes changed vs. the pre-rewrite golden";
-    for (unsigned shards : kShardGrid) {
-        if (shards > 1) {
-            EXPECT_EQ(wire, oneRun(shards))
-                << "schedule log differs at --sim-shards " << shards;
-        }
-    }
 }
 
 } // namespace

@@ -10,6 +10,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdlib>
 #include <set>
 #include <stdexcept>
 #include <thread>
@@ -29,6 +30,25 @@ TEST(ParallelExec, ResolveJobs)
     EXPECT_GE(resolveJobs(0), 1u); // 0 = one per hardware thread
     EXPECT_EQ(resolveJobs(1), 1u);
     EXPECT_EQ(resolveJobs(7), 7u);
+}
+
+TEST(ParallelExec, JobsEnvRejectsMalformedValues)
+{
+    struct EnvGuard
+    {
+        ~EnvGuard() { ::unsetenv("CORD_JOBS"); }
+    } guard;
+
+    ::setenv("CORD_JOBS", "3", 1);
+    EXPECT_EQ(defaultJobs(), 3u);
+    ::setenv("CORD_JOBS", "0", 1); // documented: hardware threads
+    EXPECT_GE(defaultJobs(), 1u);
+    // Malformed values must fall back to the documented default of 1,
+    // not parse as 0 and silently fan out to every hardware thread.
+    for (const char *bad : {"auto", "8x", "-2", "x8", " 4", "4 "}) {
+        ::setenv("CORD_JOBS", bad, 1);
+        EXPECT_EQ(defaultJobs(), 1u) << "value='" << bad << "'";
+    }
 }
 
 TEST(ParallelExec, MixSeedIsDeterministicAndSpreads)

@@ -12,7 +12,6 @@
 
 #include <cmath>
 
-#include "cord/ideal_detector.h"
 #include "harness/experiments.h"
 #include "harness/runner.h"
 #include "obs/manifest.h"
@@ -88,7 +87,7 @@ TEST(Profiler, WallSamplingIsPeriodicAndScalesUp)
             p.endWall(ProfDomain::MemService, 100);
         }
     }
-    EXPECT_EQ(sampled, 8u); // first call of each 8-call period
+    EXPECT_EQ(sampled, 8u); // last call of each 8-call period
     EXPECT_EQ(p.wallCalls(ProfDomain::MemService), 64u);
     EXPECT_EQ(p.wallSamples(ProfDomain::MemService), 8u);
     EXPECT_EQ(p.wallSampledNs(ProfDomain::MemService), 800u);
@@ -118,89 +117,37 @@ TEST(Profiler, ExportWritesNonZeroDomainsOnly)
     EXPECT_FALSE(reg.has("profile.vcBaseline.cycles"));
 }
 
-TEST(Profiler, PdesBarrierDomainNamesAndPosition)
+TEST(Profiler, ColdFirstCallIsNeverExtrapolated)
 {
-    EXPECT_STREQ(profDomainName(ProfDomain::PdesBarrier),
-                 "pdes_barrier");
-    EXPECT_STREQ(profDomainKey(ProfDomain::PdesBarrier), "pdesBarrier");
-    EXPECT_EQ(static_cast<unsigned>(ProfDomain::PdesBarrier) + 1,
-              kProfDomains);
+    // Fewer calls than one sampling period: no call is timed, so the
+    // domain reports no estimate rather than the cold first call
+    // scaled by the call count.
+    Profiler p;
+    ASSERT_GT(p.wallPeriod(), 57u);
+    for (unsigned c = 0; c < 57; ++c)
+        if (p.beginWall(ProfDomain::CordTimestamp))
+            p.endWall(ProfDomain::CordTimestamp, c == 0 ? 1000000 : 100);
+    EXPECT_EQ(p.wallCalls(ProfDomain::CordTimestamp), 57u);
+    EXPECT_EQ(p.wallSamples(ProfDomain::CordTimestamp), 0u);
+    EXPECT_EQ(p.wallEstimateNs(ProfDomain::CordTimestamp), 0u);
 }
 
-TEST(Profiler, PdesBarrierBlockAttributionIsExact)
+TEST(Profiler, WallBlockAttributionIsExact)
 {
-    // Lane wait time is attributed as exactly-measured blocks
-    // (cpu/simulation.cpp settleLanes): never scaled at estimate time.
+    // Kernel dispatch is attributed as exactly-measured blocks
+    // (Simulation::run times the whole dispatch loop): never scaled at
+    // estimate time.
     Profiler p(/*wallPeriod=*/8);
-    p.addWallBlock(ProfDomain::PdesBarrier, 1500, 3);
-    p.addWallBlock(ProfDomain::PdesBarrier, 500, 1);
-    EXPECT_EQ(p.wallCalls(ProfDomain::PdesBarrier), 4u);
-    EXPECT_EQ(p.wallSamples(ProfDomain::PdesBarrier), 4u);
-    EXPECT_EQ(p.wallSampledNs(ProfDomain::PdesBarrier), 2000u);
-    EXPECT_EQ(p.wallEstimateNs(ProfDomain::PdesBarrier), 2000u);
+    p.addWallBlock(ProfDomain::KernelDispatch, 1500, 3);
+    p.addWallBlock(ProfDomain::KernelDispatch, 500, 1);
+    EXPECT_EQ(p.wallCalls(ProfDomain::KernelDispatch), 4u);
+    EXPECT_EQ(p.wallSamples(ProfDomain::KernelDispatch), 4u);
+    EXPECT_EQ(p.wallSampledNs(ProfDomain::KernelDispatch), 2000u);
+    EXPECT_EQ(p.wallEstimateNs(ProfDomain::KernelDispatch), 2000u);
     // Block attribution is wall-only: the deterministic cycle/call
     // accumulators (exported into run stats) stay untouched.
-    EXPECT_EQ(p.cycles(ProfDomain::PdesBarrier), 0u);
-    EXPECT_EQ(p.calls(ProfDomain::PdesBarrier), 0u);
-}
-
-/** With sharding disabled the barrier domain's bar must be ~0 -- here
- *  exactly 0: no lanes exist, so nothing ever attributes to it. */
-TEST(RunProfile, PdesBarrierIsZeroWhenSequential)
-{
-    RunSetup setup;
-    setup.workload = "fft";
-    setup.params.numThreads = 4;
-    setup.params.scale = 2;
-    setup.params.seed = 1;
-    IdealDetector ideal(4);
-    setup.detectors = {&ideal};
-
-    Profiler p;
-    {
-        ProfilerScope ps(p);
-        const RunOutcome out = runWorkload(setup);
-        ASSERT_TRUE(out.completed);
-    }
-    EXPECT_TRUE(p.anyRecorded());
-    EXPECT_EQ(p.wallCalls(ProfDomain::PdesBarrier), 0u);
-    EXPECT_EQ(p.wallEstimateNs(ProfDomain::PdesBarrier), 0u);
-}
-
-/** With lanes active the barrier domain records one exactly-measured
- *  block per lane -- and the simulated outcome is still bit-equal. */
-TEST(RunProfile, PdesBarrierRecordsLaneBlocksWhenSharded)
-{
-    auto run = [](unsigned simShards, Profiler &p,
-                  std::uint64_t *racePairs) {
-        RunSetup setup;
-        setup.workload = "fft";
-        setup.params.numThreads = 4;
-        setup.params.scale = 2;
-        setup.params.seed = 1;
-        setup.simShards = simShards;
-        IdealDetector ideal(4);
-        setup.detectors = {&ideal};
-        RunOutcome out;
-        {
-            ProfilerScope ps(p);
-            out = runWorkload(setup);
-        }
-        EXPECT_TRUE(out.completed);
-        *racePairs = ideal.races().pairs();
-        return out;
-    };
-
-    Profiler seq, par;
-    std::uint64_t seqPairs = 0, parPairs = 0;
-    const RunOutcome a = run(1, seq, &seqPairs);
-    const RunOutcome b = run(4, par, &parPairs);
-    EXPECT_EQ(a.ticks, b.ticks);
-    EXPECT_EQ(a.interleavingSignature, b.interleavingSignature);
-    EXPECT_EQ(seqPairs, parPairs);
-    EXPECT_EQ(seq.wallCalls(ProfDomain::PdesBarrier), 0u);
-    // One lane (one pure observer), one join block.
-    EXPECT_EQ(par.wallCalls(ProfDomain::PdesBarrier), 1u);
+    EXPECT_EQ(p.cycles(ProfDomain::KernelDispatch), 0u);
+    EXPECT_EQ(p.calls(ProfDomain::KernelDispatch), 0u);
 }
 
 /** Small-but-real profile configuration for one workload. */

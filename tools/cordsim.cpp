@@ -58,7 +58,6 @@ struct Options
     std::uint32_t d = 16;
     unsigned campaign = 0; //!< >0 = campaign mode with N injections
     unsigned jobs = 1;     //!< campaign/exploration worker threads
-    unsigned simShards = 1; //!< per-run host threads (detector lanes)
     bool haveInjection = false;
     InjectionPick pick;
     bool knownRaces = false;
@@ -104,16 +103,6 @@ usage(std::FILE *to, const char *argv0)
         "  --directory         directory coherence instead of "
         "snooping\n"
         "  --migrate N         migrate threads every N instructions\n"
-        "  --sim-shards N      host threads per run (default "
-        "CORD_SIM_SHARDS or 1;\n"
-        "                      0 = one per hardware thread): with N > 1 "
-        "pure-observer\n"
-        "                      detectors replay on worker threads, "
-        "bit-identical\n"
-        "                      results for every N "
-        "(docs/PERFORMANCE.md section 6);\n"
-        "                      composes with --jobs, rejected with "
-        "--trace/--profile\n"
         "  --replay            verify deterministic order-log replay "
         "after the run\n"
         "  --trace FILE        write structured simulator events as "
@@ -208,7 +197,6 @@ parse(int argc, char **argv)
 {
     Options opt;
     opt.jobs = defaultJobs();
-    opt.simShards = defaultSimShards();
     bool haveCampaign = false, haveExplore = false, haveJobs = false;
     for (int i = 1; i < argc; ++i) {
         std::string a = argv[i];
@@ -252,9 +240,6 @@ parse(int argc, char **argv)
         } else if (a == "--jobs") {
             haveJobs = true;
             opt.jobs = resolveJobs(static_cast<unsigned>(num(0, 4096)));
-        } else if (a == "--sim-shards") {
-            opt.simShards =
-                resolveSimShards(static_cast<unsigned>(num(0, 4096)));
         } else if (a == "--inject") {
             const std::string spec = next();
             const std::size_t colon = spec.find(':');
@@ -384,9 +369,6 @@ parse(int argc, char **argv)
                 fail(std::string(name) +
                      " cannot be combined with --profile");
     }
-    if (const char *err = simShardsComboError(
-            opt.simShards, !opt.tracePath.empty(), opt.profile))
-        fail(err);
     if (!opt.haveSchedSeed)
         opt.schedSeed = opt.seed;
     return opt;
@@ -430,7 +412,6 @@ makeSpec(const Options &opt)
     spec.schedules = opt.explore;
     spec.seed = opt.schedSeed;
     spec.jobs = opt.jobs;
-    spec.simShards = opt.simShards;
     spec.cordD = opt.d;
     if (opt.haveInjection) {
         spec.haveInjection = true;
@@ -442,7 +423,7 @@ makeSpec(const Options &opt)
 
 /**
  * --campaign mode: a full injection campaign of the selected workload
- * (the same experiment the bench_fig* binaries run per app), sharded
+ * (the same experiment the bench_fig* binaries run per app), spread
  * over --jobs workers.  With --explore M every injection is run under
  * M schedules.  With --lint every completed run's artifacts are
  * checked; exit 1 on any finding.
@@ -464,7 +445,6 @@ runCampaignMode(const Options &opt)
     cfg.injections = opt.campaign;
     cfg.seed = opt.seed * 101 + 13;
     cfg.jobs = opt.jobs;
-    cfg.simShards = opt.simShards;
     if (opt.explore > 0) {
         cfg.schedules = opt.explore;
         cfg.sched = opt.sched;
@@ -803,8 +783,13 @@ runProfileMode(const Options &opt)
     CordConfig cc = CordConfig::forMachine(machine, opt.threads);
     cc.d = opt.d;
 
+    const auto wallStart = std::chrono::steady_clock::now();
     const ProfileReport rep =
         runProfile(opt.workload, params, machine, cc);
+    const double wallSeconds =
+        std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                      wallStart)
+            .count();
 
     std::printf("profile       : %s (scale %u, %u threads on %u "
                 "cores, seed %llu, D=%u)\n",
@@ -855,6 +840,7 @@ runProfileMode(const Options &opt)
                     opt.directory ? "directory" : "snooping");
         m.completed = true;
         m.simTicks = rep.cordTicks;
+        m.wallSeconds = wallSeconds;
         m.stampTime();
         addProfileMetrics(m, rep);
         m.save(opt.manifestPath);
@@ -891,7 +877,6 @@ main(int argc, char **argv)
                                             : CoherenceKind::Snooping;
     setup.machine.migrationPeriodInstrs = opt.migrate;
     setup.maxTicks = 0;
-    setup.simShards = opt.simShards;
 
     AddressSpace space;
     setup.captureSpace = &space;
@@ -1048,23 +1033,6 @@ main(int argc, char **argv)
         m.lintVerdict = lintVerdict;
         m.wallSeconds = wallSeconds;
         m.stampTime();
-        // Lane telemetry is volatile by construction (host threading,
-        // wait times); the deterministic sections stay byte-identical
-        // across --sim-shards values.
-        if (out.pdes.shardsRequested > 1) {
-            m.shardMetrics["shardsRequested"] = out.pdes.shardsRequested;
-            m.shardMetrics["lanes"] = out.pdes.lanes;
-            m.shardMetrics["laneRecords"] =
-                static_cast<double>(out.pdes.laneRecords);
-            m.shardMetrics["laneBatches"] =
-                static_cast<double>(out.pdes.laneBatches);
-            m.shardMetrics["producerWaitSec"] =
-                static_cast<double>(out.pdes.producerWaitNs) * 1e-9;
-            m.shardMetrics["laneIdleSec"] =
-                static_cast<double>(out.pdes.laneIdleNs) * 1e-9;
-            m.shardMetrics["joinSec"] =
-                static_cast<double>(out.pdes.joinNs) * 1e-9;
-        }
         m.metrics.add("", out.stats);
         m.metrics.add("detector.cord", cord.stats());
         m.metrics.add("detector.vc", vcd.stats());
