@@ -8,6 +8,9 @@
 
 #include <benchmark/benchmark.h>
 
+#include <array>
+#include <optional>
+
 #include "cord/clock.h"
 #include "cord/cord_detector.h"
 #include "cord/ideal_detector.h"
@@ -53,17 +56,25 @@ BENCHMARK(BM_VectorClockJoin)->Arg(4)->Arg(16)->Arg(64);
 void
 BM_CacheArrayLookup(benchmark::State &state)
 {
-    CacheArray<int> cache(CacheGeometry::paperL2());
+    // An 80-byte payload, the size of a VC-L2Cache history line: the
+    // set scan reads only the dense tags, so the payload size must not
+    // show up in the miss path.  The working set is four times the
+    // cache, so about a quarter of the lookups hit and the misses
+    // insert, evicting the set's LRU line.
+    struct Payload
+    {
+        std::array<std::uint64_t, 10> words{};
+    };
+    CacheArray<Payload> cache(CacheGeometry::paperL2());
     Rng rng(3);
-    std::optional<CacheArray<int>::Line> victim;
-    for (unsigned i = 0; i < 2048; ++i) {
-        const Addr a = rng.below(1 << 20) * kLineBytes;
-        if (!cache.find(a))
-            cache.insert(a, victim);
-    }
+    std::optional<CacheArray<Payload>::Line> victim;
+    const std::uint64_t lines = 4 * cache.geometry().numLines();
     for (auto _ : state) {
-        benchmark::DoNotOptimize(
-            cache.touch(rng.below(1 << 20) * kLineBytes));
+        const Addr a = rng.below(lines) * kLineBytes;
+        auto *line = cache.touch(a);
+        if (!line)
+            line = &cache.insert(a, victim);
+        benchmark::DoNotOptimize(line->state.words[0]);
     }
 }
 BENCHMARK(BM_CacheArrayLookup);

@@ -37,6 +37,9 @@ CordDetector::CordDetector(const CordConfig &cfg, std::string name)
     cord_assert(cfg_.d >= 1, "the sync-read margin D must be >= 1");
     cord_assert(cfg_.memTsBanks >= 1,
                 "at least one main-memory timestamp bank");
+    cord_assert(cfg_.walkPeriodEvents >= 1,
+                "the cache-walker period must be >= 1 access");
+    walkCountdown_ = cfg_.walkPeriodEvents;
     memTsBanks_ = cfg_.memTsBanks;
     memReadTs_.assign(memTsBanks_, 0);
     memWriteTs_.assign(memTsBanks_, 0);
@@ -132,20 +135,10 @@ CordDetector::sharerRemove(Addr addr, CoreId core)
         sharers_.erase(la);
 }
 
-unsigned
-CordDetector::remoteSharers(CoreId core, Addr addr)
+void
+CordDetector::snoop(CoreId core, Addr addr, bool isWrite, Ts64 clock,
+                    SnoopResult &sr)
 {
-    unsigned n = 0;
-    for (CoreId oc = 0; oc < cfg_.numCores; ++oc)
-        if (oc != core && caches_[oc].find(addr))
-            ++n;
-    return n;
-}
-
-CordDetector::SnoopResult
-CordDetector::snoop(CoreId core, Addr addr, bool isWrite, Ts64 clock)
-{
-    SnoopResult sr;
     const std::uint16_t wbit =
         static_cast<std::uint16_t>(1u << wordInLine(addr));
     const auto probe = [&](CoreId oc) {
@@ -207,7 +200,6 @@ CordDetector::snoop(CoreId core, Addr addr, bool isWrite, Ts64 clock)
     // A write filter requires sole ownership (MESI M/E): any fetch of
     // the line by another core goes on the bus and clears it again.
     sr.lineClearForWrite = !sr.anyRemoteLine;
-    return sr;
 }
 
 void
@@ -359,11 +351,12 @@ CordDetector::runWalker(Tick now)
     if (minClk == 0)
         return;
     for (CoreId c = 0; c < cfg_.numCores; ++c) {
-        auto &cache = caches_[c];
         // The walker's periodic sweep doubles as the mid-run sampling
-        // point for history-cache occupancy.
-        occupancyGauge_.sample(static_cast<double>(cache.residentCount()));
-        cache.forEach([&](Addr lineA, LineState &ls) {
+        // point for history-cache occupancy; it evicts entries, never
+        // lines, so the lines it visits are the resident ones.
+        std::size_t resident = 0;
+        caches_[c].forEach([&](Addr lineA, LineState &ls) {
+            ++resident;
             for (unsigned i = 0; i < cfg_.entriesPerLine; ++i) {
                 Entry &e = ls.e[i];
                 if (!e.valid)
@@ -381,6 +374,7 @@ CordDetector::runWalker(Tick now)
                 }
             }
         });
+        occupancyGauge_.sample(static_cast<double>(resident));
     }
 }
 
@@ -389,7 +383,6 @@ CordDetector::onAccess(const MemEvent &ev)
 {
     cord_assert(ev.tid < cfg_.numThreads, "unknown thread ", ev.tid);
     cord_assert(ev.core < cfg_.numCores, "unknown core ", ev.core);
-    ++eventsSeen_;
 
     const bool isW = ev.isWrite();
     const bool sync = ev.isSync();
@@ -436,7 +429,7 @@ CordDetector::onAccess(const MemEvent &ev)
     if (needCheck) {
         {
             ProfWallTimer pt(ProfDomain::CordCheck);
-            sr = snoop(ev.core, ev.addr, isW, clock);
+            snoop(ev.core, ev.addr, isW, clock, sr);
         }
         raceChecks_.inc();
         if (EventTracer *t = EventTracer::active())
@@ -536,7 +529,10 @@ CordDetector::onAccess(const MemEvent &ev)
         maxClock_ = wr.clock();
 
     // Cache walker: bound timestamp staleness for the sliding window.
-    if (eventsSeen_ % cfg_.walkPeriodEvents == 0 ||
+    const bool periodic = --walkCountdown_ == 0;
+    if (periodic)
+        walkCountdown_ = cfg_.walkPeriodEvents;
+    if (periodic ||
         maxClock_ - maxClockAtLastWalk_ > cfg_.staleThreshold / 4) {
         runWalker(ev.tick);
         maxClockAtLastWalk_ = maxClock_;

@@ -138,11 +138,6 @@ class CordDetector : public Detector
                                      memTsBanks_);
     }
 
-    /** Remote cores whose history caches hold @p addr's line -- the
-     *  directory's exact sharer set as seen from @p core (exposed for
-     *  the point-to-point-equals-broadcast equivalence tests). */
-    unsigned remoteSharers(CoreId core, Addr addr);
-
     DetectorGeometry
     geometry() const override
     {
@@ -155,10 +150,10 @@ class CordDetector : public Detector
     /** One access-history entry: a timestamp plus per-word R/W bits. */
     struct Entry
     {
-        bool valid = false;
         Ts64 ts = 0;                  //!< epoch-extended shadow
         std::uint16_t readBits = 0;   //!< per-word "read at ts" bits
         std::uint16_t writeBits = 0;  //!< per-word "written at ts" bits
+        bool valid = false;
 
         Ts16 wireTs() const { return static_cast<Ts16>(ts); }
     };
@@ -171,7 +166,11 @@ class CordDetector : public Detector
         bool filterW = false;
     };
 
-    /** What the snoop (race check) learned from remote caches. */
+    /**
+     * What the snoop (race check) learned from remote caches.  A
+     * default-constructed result is the empty snoop; conflictTs is left
+     * uninitialized because only [0, numConflicts) is ever read.
+     */
     struct SnoopResult
     {
         bool anyRemoteLine = false;    //!< some remote cache has the line
@@ -181,7 +180,7 @@ class CordDetector : public Detector
         Ts64 maxWriteTs = 0;           //!< max remote write ts on the word
         bool lineClearForRead = true;  //!< no remote write history in line
         bool lineClearForWrite = true; //!< no remote history at all in line
-        std::array<Ts64, 64> conflictTs{}; //!< individual conflicting ts
+        std::array<Ts64, 64> conflictTs; //!< individual conflicting ts
         unsigned numConflicts = 0;
         unsigned remoteSharers = 0;    //!< remote caches probed (p2p cost)
         /** Bitmask of the probed cores (bits for cores < 64) -- lets
@@ -192,8 +191,10 @@ class CordDetector : public Detector
 
     /** Race check for (core, word): a broadcast snoop under snooping,
      *  a directory-forwarded point-to-point probe of the exact sharer
-     *  set when sharer tracking is on -- bit-identical results. */
-    SnoopResult snoop(CoreId core, Addr addr, bool isWrite, Ts64 clock);
+     *  set when sharer tracking is on -- bit-identical results.
+     *  Accumulates into @p sr, which must be default-constructed. */
+    void snoop(CoreId core, Addr addr, bool isWrite, Ts64 clock,
+               SnoopResult &sr);
 
     /** Fold a displaced/invalidated line history into the main-memory
      *  timestamp bank homing @p lineA, notifying the sink on change
@@ -245,7 +246,9 @@ class CordDetector : public Detector
     FlatAddrMap<std::uint64_t> sharers_;
     bool trackSharers_ = false;
 
-    std::uint64_t eventsSeen_ = 0;
+    /** Accesses left until the next periodic walk; counting down
+     *  fires on every walkPeriodEvents-th access, like a modulo. */
+    std::uint64_t walkCountdown_ = 0;
     Ts64 maxClockAtLastWalk_ = 0;
     Ts64 maxClock_ = 1;
 

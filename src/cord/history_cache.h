@@ -127,7 +127,7 @@ class HistoryCache
         if (!line)
             return false;
         onEvict(la, line->state);
-        line->valid = false;
+        array_->drop(*line);
         return true;
     }
 

@@ -17,17 +17,18 @@ IdealDetector::IdealDetector(unsigned numThreads, std::string name)
     }
 }
 
-IdealDetector::WordHistory &
+std::uint32_t *
 IdealDetector::history(Addr wordA)
 {
-    auto it = words_.find(wordA);
-    if (it == words_.end()) {
-        WordHistory h;
-        h.lastWrite.assign(numThreads_, 0);
-        h.lastRead.assign(numThreads_, 0);
-        it = words_.emplace(wordA, std::move(h)).first;
+    const std::size_t rowWidth = 2 * std::size_t{numThreads_};
+    std::uint32_t &row = wordRow_[wordA];
+    if (row == 0) {
+        // Rows are numbered from 1 so a fresh map slot (0) reads as
+        // "no row yet".
+        epochs_.resize(epochs_.size() + rowWidth, 0);
+        row = static_cast<std::uint32_t>(epochs_.size() / rowWidth);
     }
-    return it->second;
+    return &epochs_[(row - 1) * rowWidth];
 }
 
 void
@@ -40,7 +41,7 @@ IdealDetector::onAccess(const MemEvent &ev)
     if (ev.isSync()) {
         // Synchronization maintains happens-before; it is never itself
         // reported as a data race.
-        auto &svc = syncVc_[wa];
+        VectorClock &svc = syncVc_[wa];
         if (svc.size() == 0)
             svc = VectorClock(numThreads_);
         if (!ev.isWrite()) {
@@ -55,19 +56,20 @@ IdealDetector::onAccess(const MemEvent &ev)
         return;
     }
 
-    WordHistory &h = history(wa);
+    std::uint32_t *lastWrite = history(wa);
+    std::uint32_t *lastRead = lastWrite + numThreads_;
     // Race check: a conflicting last access by another thread whose
     // epoch the current thread has not yet acquired is concurrent.
     for (ThreadId u = 0; u < numThreads_; ++u) {
         if (u == ev.tid)
             continue;
-        const std::uint32_t we = h.lastWrite[u];
+        const std::uint32_t we = lastWrite[u];
         if (we != 0 && tvc[u] < we) {
             report_.record({ev.tick, wa, ev.tid, ev.kind, 0, 0});
             dataRaces_.inc();
         }
         if (ev.isWrite()) {
-            const std::uint32_t re = h.lastRead[u];
+            const std::uint32_t re = lastRead[u];
             if (re != 0 && tvc[u] < re) {
                 report_.record({ev.tick, wa, ev.tid, ev.kind, 0, 0});
                 dataRaces_.inc();
@@ -76,9 +78,9 @@ IdealDetector::onAccess(const MemEvent &ev)
     }
     // Record this access's epoch.
     if (ev.isWrite())
-        h.lastWrite[ev.tid] = tvc[ev.tid];
+        lastWrite[ev.tid] = tvc[ev.tid];
     else
-        h.lastRead[ev.tid] = tvc[ev.tid];
+        lastRead[ev.tid] = tvc[ev.tid];
 }
 
 } // namespace cord

@@ -19,11 +19,11 @@
 #define CORD_CORD_IDEAL_DETECTOR_H
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "cord/detector.h"
 #include "cord/vector_clock.h"
+#include "sim/flat_map.h"
 #include "sim/stats.h"
 #include "sim/types.h"
 
@@ -46,23 +46,22 @@ class IdealDetector : public Detector
     const VectorClock &threadClock(ThreadId tid) const { return vc_[tid]; }
 
     /** Number of distinct words tracked (memory footprint insight). */
-    std::size_t trackedWords() const { return words_.size(); }
+    std::size_t trackedWords() const { return wordRow_.size(); }
 
   private:
-    /** Last-access epochs per thread for one word; 0 = never. */
-    struct WordHistory
-    {
-        std::vector<std::uint32_t> lastWrite;
-        std::vector<std::uint32_t> lastRead;
-    };
-
-    WordHistory &history(Addr wordA);
+    /**
+     * The word's row of epochs_: numThreads last-write epochs followed
+     * by numThreads last-read epochs, 0 = never.  Allocated zeroed on
+     * the word's first access.
+     */
+    std::uint32_t *history(Addr wordA);
 
     unsigned numThreads_;
     Counter dataRaces_; //!< pre-registered hot-path handle (stats.h)
     std::vector<VectorClock> vc_;
-    std::unordered_map<Addr, VectorClock> syncVc_; //!< per sync variable
-    std::unordered_map<Addr, WordHistory> words_;
+    FlatAddrMap<VectorClock> syncVc_; //!< per sync variable
+    FlatAddrMap<std::uint32_t> wordRow_; //!< word -> row of epochs_
+    std::vector<std::uint32_t> epochs_;  //!< 2 * numThreads per row
 };
 
 } // namespace cord

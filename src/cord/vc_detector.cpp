@@ -34,18 +34,21 @@ VcDetector::VcDetector(const VcConfig &cfg, std::string name)
 }
 
 void
+VcDetector::foldIntoMemVc(const Entry &e)
+{
+    if (!cfg_.memTimestamps || !e.valid)
+        return;
+    if (e.readBits)
+        memReadVc_.join(e.vc);
+    if (e.writeBits)
+        memWriteVc_.join(e.vc);
+}
+
+void
 VcDetector::foldIntoMemVc(const LineState &ls)
 {
-    if (!cfg_.memTimestamps)
-        return;
-    for (const Entry &e : ls.e) {
-        if (!e.valid)
-            continue;
-        if (e.readBits)
-            memReadVc_.join(e.vc);
-        if (e.writeBits)
-            memWriteVc_.join(e.vc);
-    }
+    for (const Entry &e : ls.e)
+        foldIntoMemVc(e);
 }
 
 void
@@ -85,16 +88,16 @@ VcDetector::timestampLocal(CoreId core, Addr addr, bool isWrite,
             if (!ls.e[i].valid || ls.e[i].seq < ls.e[victim].seq)
                 victim = i;
         }
-        if (ls.e[victim].valid) {
-            LineState tmp;
-            tmp.e[0] = ls.e[victim];
-            foldIntoMemVc(tmp);
+        slot = &ls.e[victim];
+        if (slot->valid) {
+            foldIntoMemVc(*slot);
             entryDisplacements_.inc();
         }
-        ls.e[victim] = Entry{};
-        ls.e[victim].valid = true;
-        ls.e[victim].vc = tvc;
-        slot = &ls.e[victim];
+        // Reset in place: assigning the clock reuses its storage.
+        slot->vc = tvc;
+        slot->readBits = 0;
+        slot->writeBits = 0;
+        slot->valid = true;
     }
     slot->seq = ++seq_;
     if (isWrite)

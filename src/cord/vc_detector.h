@@ -85,11 +85,11 @@ class VcDetector : public Detector
   private:
     struct Entry
     {
-        bool valid = false;
         VectorClock vc;
+        std::uint64_t seq = 0; //!< recency for displacement decisions
         std::uint16_t readBits = 0;
         std::uint16_t writeBits = 0;
-        std::uint64_t seq = 0; //!< recency for displacement decisions
+        bool valid = false;
     };
 
     struct LineState
@@ -97,6 +97,8 @@ class VcDetector : public Detector
         Entry e[2];
     };
 
+    /** Join a displaced entry into the memory vector timestamps. */
+    void foldIntoMemVc(const Entry &e);
     void foldIntoMemVc(const LineState &ls);
     void invalidateRemote(CoreId core, Addr addr);
     void timestampLocal(CoreId core, Addr addr, bool isWrite,

@@ -8,8 +8,8 @@
 #ifndef CORD_CORD_VECTOR_CLOCK_H
 #define CORD_CORD_VECTOR_CLOCK_H
 
+#include <algorithm>
 #include <cstdint>
-#include <vector>
 
 #include "sim/logging.h"
 #include "sim/types.h"
@@ -51,47 +51,112 @@ class Epoch
     std::uint64_t raw_ = 0;
 };
 
-/** A vector clock with one 32-bit component per thread. */
+/**
+ * A vector clock with one 32-bit component per thread.
+ *
+ * Up to kInlineComponents components live inside the object, so the
+ * clocks of a default-sized machine never touch the heap and copying
+ * one into a detector history entry is a 16-byte copy; wider clocks
+ * keep their components in one heap array.  Either way the object is
+ * 24 bytes, so detector history entries holding one stay small.
+ */
 class VectorClock
 {
   public:
+    static constexpr unsigned kInlineComponents = kDefaultNumThreads;
+
     VectorClock() = default;
 
-    explicit VectorClock(unsigned n) : c_(n, 0) {}
+    explicit VectorClock(unsigned n) : n_(n)
+    {
+        if (!isInline())
+            heap_ = new std::uint32_t[n];
+        std::fill_n(data(), n, 0u);
+    }
 
-    unsigned size() const { return static_cast<unsigned>(c_.size()); }
+    VectorClock(const VectorClock &o) : n_(o.n_)
+    {
+        if (!isInline())
+            heap_ = new std::uint32_t[n_];
+        std::copy_n(o.data(), n_, data());
+    }
+
+    VectorClock(VectorClock &&o) noexcept : n_(o.n_)
+    {
+        if (isInline())
+            std::copy_n(o.inline_, n_, inline_);
+        else
+            heap_ = o.heap_;
+        o.n_ = 0;
+    }
+
+    VectorClock &
+    operator=(const VectorClock &o)
+    {
+        if (this == &o)
+            return *this;
+        if (n_ != o.n_) {
+            release();
+            n_ = o.n_;
+            if (!isInline())
+                heap_ = new std::uint32_t[n_];
+        }
+        std::copy_n(o.data(), n_, data());
+        return *this;
+    }
+
+    VectorClock &
+    operator=(VectorClock &&o) noexcept
+    {
+        if (this == &o)
+            return *this;
+        release();
+        n_ = o.n_;
+        if (isInline())
+            std::copy_n(o.inline_, n_, inline_);
+        else
+            heap_ = o.heap_;
+        o.n_ = 0;
+        return *this;
+    }
+
+    ~VectorClock() { release(); }
+
+    unsigned size() const { return n_; }
 
     std::uint32_t
     operator[](unsigned i) const
     {
-        cord_assert(i < c_.size(), "vector clock index out of range");
-        return c_[i];
+        cord_assert(i < n_, "vector clock index out of range");
+        return data()[i];
     }
 
     /** Increment this thread's own component. */
     void
     tick(unsigned i)
     {
-        cord_assert(i < c_.size(), "vector clock index out of range");
-        ++c_[i];
+        cord_assert(i < n_, "vector clock index out of range");
+        ++data()[i];
     }
 
     /** Set one component. */
     void
     setComponent(unsigned i, std::uint32_t v)
     {
-        cord_assert(i < c_.size(), "vector clock index out of range");
-        c_[i] = v;
+        cord_assert(i < n_, "vector clock index out of range");
+        data()[i] = v;
     }
 
     /** Component-wise maximum (the classical join). */
     void
     join(const VectorClock &o)
     {
-        cord_assert(o.size() == size(), "joining mismatched vector clocks");
-        for (unsigned i = 0; i < size(); ++i) {
-            if (o.c_[i] > c_[i])
-                c_[i] = o.c_[i];
+        cord_assert(o.n_ == n_, "joining mismatched vector clocks");
+        std::uint32_t *c = data();
+        const std::uint32_t *oc = o.data();
+        for (unsigned i = 0; i < n_; ++i) {
+            if (oc[i] > c[i])
+                c[i] = oc[i];
         }
     }
 
@@ -99,10 +164,11 @@ class VectorClock
     bool
     lessEq(const VectorClock &o) const
     {
-        cord_assert(o.size() == size(),
-                    "comparing mismatched vector clocks");
-        for (unsigned i = 0; i < size(); ++i) {
-            if (c_[i] > o.c_[i])
+        cord_assert(o.n_ == n_, "comparing mismatched vector clocks");
+        const std::uint32_t *c = data();
+        const std::uint32_t *oc = o.data();
+        for (unsigned i = 0; i < n_; ++i) {
+            if (c[i] > oc[i])
                 return false;
         }
         return true;
@@ -111,7 +177,7 @@ class VectorClock
     bool
     operator==(const VectorClock &o) const
     {
-        return c_ == o.c_;
+        return n_ == o.n_ && std::equal(data(), data() + n_, o.data());
     }
 
     /**
@@ -122,12 +188,35 @@ class VectorClock
     bool
     knows(const Epoch &e) const
     {
-        return !e.valid() || c_[e.tid()] >= e.clock();
+        return !e.valid() || data()[e.tid()] >= e.clock();
     }
 
   private:
-    std::vector<std::uint32_t> c_;
+    bool isInline() const { return n_ <= kInlineComponents; }
+
+    std::uint32_t *data() { return isInline() ? inline_ : heap_; }
+    const std::uint32_t *data() const
+    {
+        return isInline() ? inline_ : heap_;
+    }
+
+    void
+    release()
+    {
+        if (!isInline())
+            delete[] heap_;
+    }
+
+    unsigned n_ = 0;
+    union
+    {
+        std::uint32_t inline_[kInlineComponents] = {};
+        std::uint32_t *heap_;
+    };
 };
+
+static_assert(sizeof(VectorClock) == 24,
+              "inline vector clocks must not grow detector history");
 
 } // namespace cord
 

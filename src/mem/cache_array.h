@@ -12,7 +12,9 @@
 #define CORD_MEM_CACHE_ARRAY_H
 
 #include <bit>
+#include <cstddef>
 #include <cstdint>
+#include <new>
 #include <optional>
 #include <vector>
 
@@ -24,7 +26,47 @@ namespace cord
 {
 
 /**
+ * Allocator that starts every array on a host cache-line boundary, so
+ * a set of CacheArray tags never straddles two host cache lines.
+ */
+template <typename T>
+struct CacheLineAllocator
+{
+    using value_type = T;
+    static constexpr std::align_val_t kAlign{64};
+
+    CacheLineAllocator() = default;
+    template <typename U>
+    CacheLineAllocator(const CacheLineAllocator<U> &)
+    {
+    }
+
+    T *
+    allocate(std::size_t n)
+    {
+        return static_cast<T *>(::operator new(n * sizeof(T), kAlign));
+    }
+
+    void
+    deallocate(T *p, std::size_t)
+    {
+        ::operator delete(p, kAlign);
+    }
+
+    template <typename U>
+    bool
+    operator==(const CacheLineAllocator<U> &) const
+    {
+        return true;
+    }
+};
+
+/**
  * Set-associative tag array holding one StateT per resident line.
+ *
+ * Tags live in a dense array apart from the payload: one 16-byte
+ * {line address, LRU stamp} tag per way, so a lookup in a 4-way set
+ * reads one host cache line and touches the payload only on a hit.
  *
  * @tparam StateT per-line metadata (must be default-constructible)
  */
@@ -32,17 +74,16 @@ template <typename StateT>
 class CacheArray
 {
   public:
-    /** A resident line: tag state plus the metadata payload. */
+    /** A resident line's payload: its address plus the metadata. */
     struct Line
     {
-        bool valid = false;
-        Addr addr = 0;          //!< line-aligned address
-        std::uint64_t lru = 0;  //!< larger == more recently used
+        Addr addr = 0; //!< line-aligned address
         StateT state{};
     };
 
     explicit CacheArray(const CacheGeometry &geo)
-        : geo_(geo), lines_(geo.numSets() * geo.ways)
+        : geo_(geo), tags_(geo.numSets() * geo.ways),
+          lines_(geo.numSets() * geo.ways)
     {
         // Set indexing runs on every lookup of every cache model;
         // precompute shift/mask instead of dividing when the geometry
@@ -64,13 +105,8 @@ class CacheArray
     Line *
     find(Addr a)
     {
-        const Addr la = lineAddr(a);
-        auto [begin, end] = setRange(la);
-        for (std::size_t i = begin; i < end; ++i) {
-            if (lines_[i].valid && lines_[i].addr == la)
-                return &lines_[i];
-        }
-        return nullptr;
+        const std::size_t i = slotOf(lineAddr(a));
+        return i == kNoSlot ? nullptr : &lines_[i];
     }
 
     const Line *
@@ -83,10 +119,11 @@ class CacheArray
     Line *
     touch(Addr a)
     {
-        Line *line = find(a);
-        if (line)
-            line->lru = ++lruClock_;
-        return line;
+        const std::size_t i = slotOf(lineAddr(a));
+        if (i == kNoSlot)
+            return nullptr;
+        tags_[i].lru = ++lruClock_;
+        return &lines_[i];
     }
 
     /**
@@ -94,32 +131,32 @@ class CacheArray
      * LRU way of its set if the set is full.
      *
      * @param a line-aligned (or any) address
-     * @param[out] victim filled with the evicted line when one existed
+     * @param[out] victim holds the evicted line when one existed
      * @return reference to the newly resident line
      */
     Line &
     insert(Addr a, std::optional<Line> &victim)
     {
         const Addr la = lineAddr(a);
-        cord_assert(!find(la), "inserting already-resident line ", la);
-        auto [begin, end] = setRange(la);
+        cord_assert(slotOf(la) == kNoSlot,
+                    "inserting already-resident line ", la);
+        // The first free way, else the first least-recently-used one.
+        const std::size_t begin = setBegin(la);
         std::size_t slot = begin;
-        for (std::size_t i = begin; i < end; ++i) {
-            if (!lines_[i].valid) {
+        for (std::size_t i = begin; i < begin + geo_.ways; ++i) {
+            if (tags_[i].addr == kInvalidTag) {
                 slot = i;
                 break;
             }
-            if (lines_[i].lru < lines_[slot].lru)
+            if (tags_[i].lru < tags_[slot].lru)
                 slot = i;
         }
-        if (lines_[slot].valid)
-            victim = lines_[slot];
+        if (tags_[slot].addr != kInvalidTag)
+            victim.emplace(std::move(lines_[slot]));
         else
             victim.reset();
-        lines_[slot] = Line{};
-        lines_[slot].valid = true;
-        lines_[slot].addr = la;
-        lines_[slot].lru = ++lruClock_;
+        tags_[slot] = Tag{la, ++lruClock_};
+        lines_[slot] = Line{la, StateT{}};
         return lines_[slot];
     }
 
@@ -127,21 +164,31 @@ class CacheArray
     bool
     invalidate(Addr a)
     {
-        Line *line = find(a);
-        if (!line)
+        const std::size_t i = slotOf(lineAddr(a));
+        if (i == kNoSlot)
             return false;
-        line->valid = false;
+        tags_[i].addr = kInvalidTag;
         return true;
     }
 
-    /** Visit every resident line (e.g. the CORD cache walker). */
+    /** Remove the resident @p line (found by find() or touch()). */
+    void
+    drop(Line &line)
+    {
+        const auto i = static_cast<std::size_t>(&line - lines_.data());
+        cord_assert(i < lines_.size() && tags_[i].addr == line.addr,
+                    "dropping a line that is not resident");
+        tags_[i].addr = kInvalidTag;
+    }
+
+    /** Visit every resident line in way order (the CORD cache walker). */
     template <typename Fn>
     void
     forEach(Fn &&fn)
     {
-        for (auto &line : lines_) {
-            if (line.valid)
-                fn(line);
+        for (std::size_t i = 0; i < tags_.size(); ++i) {
+            if (tags_[i].addr != kInvalidTag)
+                fn(lines_[i]);
         }
     }
 
@@ -150,25 +197,49 @@ class CacheArray
     residentCount() const
     {
         std::size_t n = 0;
-        for (const auto &line : lines_)
-            n += line.valid ? 1 : 0;
+        for (const Tag &t : tags_)
+            n += t.addr != kInvalidTag ? 1 : 0;
         return n;
     }
 
   private:
-    /** [begin, end) index range of the set containing @p lineAddr. */
-    std::pair<std::size_t, std::size_t>
-    setRange(Addr la) const
+    /** Never a line-aligned address, so it marks a free way. */
+    static constexpr Addr kInvalidTag = ~Addr{0};
+    static constexpr std::size_t kNoSlot = ~std::size_t{0};
+
+    /** One way's tag; a free way holds kInvalidTag. */
+    struct Tag
+    {
+        Addr addr = kInvalidTag;
+        std::uint64_t lru = 0; //!< larger == more recently used
+    };
+
+    /** First way of the set containing @p la. */
+    std::size_t
+    setBegin(Addr la) const
     {
         const std::size_t set =
             fastIndex_
                 ? static_cast<std::size_t>((la >> lineShift_) & setMask_)
                 : static_cast<std::size_t>((la / geo_.lineBytes) %
                                            geo_.numSets());
-        return {set * geo_.ways, (set + 1) * geo_.ways};
+        return set * geo_.ways;
+    }
+
+    /** Way index holding line @p la, or kNoSlot. */
+    std::size_t
+    slotOf(Addr la) const
+    {
+        const std::size_t begin = setBegin(la);
+        for (std::size_t i = begin; i < begin + geo_.ways; ++i) {
+            if (tags_[i].addr == la)
+                return i;
+        }
+        return kNoSlot;
     }
 
     CacheGeometry geo_;
+    std::vector<Tag, CacheLineAllocator<Tag>> tags_;
     std::vector<Line> lines_;
     std::uint64_t lruClock_ = 0;
     bool fastIndex_ = false;

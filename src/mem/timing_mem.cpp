@@ -109,11 +109,8 @@ TimingMemSystem::access(CoreId core, Addr addr, bool isWrite, Tick now)
                 l1_[c].invalidate(line);
             }
         }
-        if (isWrite) {
+        if (isWrite)
             l2Line->state.mesi = Mesi::Modified;
-        } else if (l2Line->state.mesi == Mesi::Exclusive && isWrite) {
-            l2Line->state.mesi = Mesi::Modified;
-        }
         if (!l1Present) {
             std::optional<CacheArray<char>::Line> v;
             l1.insert(line, v);

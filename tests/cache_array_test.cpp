@@ -1,13 +1,15 @@
 /**
  * @file
  * Unit tests for the set-associative tag array (mem/cache_array.h):
- * residency, LRU replacement, set conflict behaviour, invalidation.
+ * residency, LRU replacement, set conflict behaviour, invalidation,
+ * and the pinned victim and visit orders.
  */
 
 #include <gtest/gtest.h>
 
 #include <optional>
 #include <set>
+#include <vector>
 
 #include "mem/cache_array.h"
 
@@ -127,6 +129,78 @@ TEST(CacheArray, TouchUpdatesRecency)
     c.insert(lineOfSet(0, 2), victim);
     ASSERT_TRUE(victim.has_value());
     EXPECT_EQ(victim->state, 2);
+}
+
+TEST(CacheArray, DropFreesTheWayForTheNextInsert)
+{
+    CacheArray<int> c(tinyGeo());
+    std::optional<CacheArray<int>::Line> victim;
+    c.insert(lineOfSet(1, 0), victim).state = 10;
+    auto &second = c.insert(lineOfSet(1, 1), victim);
+    second.state = 11;
+    // Make the dropped line the most recently used, so the next insert
+    // would evict the other way if the drop had not freed this one.
+    ASSERT_EQ(c.touch(lineOfSet(1, 1)), &second);
+
+    c.drop(second);
+    EXPECT_EQ(c.find(lineOfSet(1, 1)), nullptr);
+    EXPECT_EQ(c.residentCount(), 1u);
+    EXPECT_FALSE(c.invalidate(lineOfSet(1, 1)));
+
+    auto &fresh = c.insert(lineOfSet(1, 2), victim);
+    EXPECT_FALSE(victim.has_value());
+    EXPECT_EQ(&fresh, &second); // the freed way, not an eviction
+    EXPECT_EQ(fresh.state, 0);  // with a fresh payload
+    EXPECT_NE(c.find(lineOfSet(1, 0)), nullptr);
+}
+
+TEST(CacheArray, GoldenVictimAndVisitOrder)
+{
+    // A fixed mix of inserts, touches and invalidations over the 4x2
+    // geometry.  The victims and the forEach order are pinned: the
+    // cache models' replacement and the CORD walker's visit order both
+    // feed the determinism goldens.
+    CacheArray<int> c(tinyGeo());
+    std::optional<CacheArray<int>::Line> victim;
+    std::vector<Addr> victims;
+    const auto put = [&](unsigned set, unsigned k) {
+        c.insert(lineOfSet(set, k), victim).state =
+            static_cast<int>(set * 10 + k);
+        if (victim)
+            victims.push_back(victim->addr);
+    };
+    put(0, 0);
+    put(0, 1);
+    put(3, 0);
+    put(1, 0);
+    c.touch(lineOfSet(0, 0));
+    put(0, 2); // evicts (0,1)
+    put(3, 1);
+    c.touch(lineOfSet(3, 0));
+    put(3, 2); // evicts (3,1)
+    c.invalidate(lineOfSet(0, 0));
+    put(0, 3); // takes the freed way
+    put(0, 4); // evicts (0,2)
+    put(1, 1);
+    put(1, 2); // evicts (1,0)
+    c.touch(lineOfSet(1, 1));
+    put(1, 3); // evicts (1,2)
+    EXPECT_EQ(victims,
+              (std::vector<Addr>{lineOfSet(0, 1), lineOfSet(3, 1),
+                                 lineOfSet(0, 2), lineOfSet(1, 0),
+                                 lineOfSet(1, 2)}));
+
+    std::vector<Addr> visited;
+    c.forEach([&](CacheArray<int>::Line &line) {
+        visited.push_back(line.addr);
+        EXPECT_EQ(line.state, static_cast<int>(
+                                  (line.addr / 64) % 4 * 10 +
+                                  (line.addr / 64) / 4));
+    });
+    EXPECT_EQ(visited,
+              (std::vector<Addr>{lineOfSet(0, 3), lineOfSet(0, 4),
+                                 lineOfSet(1, 3), lineOfSet(1, 1),
+                                 lineOfSet(3, 0), lineOfSet(3, 2)}));
 }
 
 TEST(CacheGeometryDeath, InvalidGeometriesAreFatal)

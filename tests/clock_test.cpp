@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "cord/clock.h"
 #include "cord/vector_clock.h"
 
@@ -170,6 +172,89 @@ TEST(VectorClock, HappensBeforeTransitivity)
     c.tick(2);
     EXPECT_TRUE(a.lessEq(c));
     EXPECT_FALSE(c.lessEq(a));
+}
+
+/** Widths past the inline storage, where components live on the heap. */
+class WideVectorClock : public ::testing::TestWithParam<unsigned>
+{
+};
+
+TEST_P(WideVectorClock, AlgebraMatchesInlineSemantics)
+{
+    const unsigned n = GetParam();
+    ASSERT_GT(n, VectorClock::kInlineComponents);
+    VectorClock a(n);
+    VectorClock b(n);
+    for (unsigned i = 0; i < n; ++i)
+        EXPECT_EQ(a[i], 0u);
+    a.setComponent(0, 5);
+    a.setComponent(n - 1, 9);
+    b.setComponent(0, 3);
+    b.setComponent(n / 2, 7);
+    EXPECT_FALSE(a.lessEq(b));
+    EXPECT_FALSE(b.lessEq(a));
+
+    VectorClock j = a;
+    j.join(b);
+    EXPECT_EQ(j[0], 5u);
+    EXPECT_EQ(j[n / 2], 7u);
+    EXPECT_EQ(j[n - 1], 9u);
+    EXPECT_TRUE(a.lessEq(j));
+    EXPECT_TRUE(b.lessEq(j));
+
+    // A component past the inline width decides knows() and ==.
+    EXPECT_TRUE(j.knows(Epoch(n - 1, 9)));
+    EXPECT_FALSE(j.knows(Epoch(n - 1, 10)));
+    j.tick(n - 1);
+    EXPECT_EQ(j[n - 1], 10u);
+    EXPECT_TRUE(j.knows(Epoch(n - 1, 10)));
+    EXPECT_FALSE(j == a);
+}
+
+TEST_P(WideVectorClock, CopyAndMoveKeepComponents)
+{
+    const unsigned n = GetParam();
+    VectorClock a(n);
+    for (unsigned i = 0; i < n; ++i)
+        a.setComponent(i, i * 3 + 1);
+
+    VectorClock copy(a);
+    EXPECT_TRUE(copy == a);
+    copy.tick(n - 1); // the copy owns its own components
+    EXPECT_EQ(a[n - 1], (n - 1) * 3 + 1);
+    EXPECT_FALSE(copy == a);
+
+    VectorClock assigned(n);
+    assigned = a;
+    EXPECT_TRUE(assigned == a);
+    VectorClock narrow(2);
+    narrow = a; // assignment across widths takes the source's width
+    EXPECT_EQ(narrow.size(), n);
+    EXPECT_TRUE(narrow == a);
+    narrow = VectorClock(2);
+    EXPECT_EQ(narrow.size(), 2u);
+
+    VectorClock moved(std::move(copy));
+    EXPECT_EQ(moved[n - 1], (n - 1) * 3 + 2);
+    VectorClock moveAssigned(3);
+    moveAssigned = std::move(moved);
+    EXPECT_EQ(moveAssigned.size(), n);
+    EXPECT_EQ(moveAssigned[0], 1u);
+    EXPECT_EQ(moveAssigned[n - 1], (n - 1) * 3 + 2);
+}
+
+INSTANTIATE_TEST_SUITE_P(PastInlineWidth, WideVectorClock,
+                         ::testing::Values(16u, 64u));
+
+TEST(VectorClock, DifferentSizesAreNeverEqual)
+{
+    // All-zero clocks of different widths: equal components, yet not
+    // the same clock -- on both sides of the inline width.
+    EXPECT_FALSE(VectorClock(2) == VectorClock(3));
+    EXPECT_FALSE(VectorClock(4) == VectorClock(16));
+    EXPECT_FALSE(VectorClock(16) == VectorClock(64));
+    EXPECT_FALSE(VectorClock() == VectorClock(1));
+    EXPECT_TRUE(VectorClock(16) == VectorClock(16));
 }
 
 } // namespace
