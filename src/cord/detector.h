@@ -7,6 +7,13 @@
  * CordTrafficSink, through which its race-check requests and
  * memory-timestamp broadcasts are charged to the timing model's
  * address/timestamp bus (Figure 11 experiments).
+ *
+ * Delivery contract (cpu/simulation.h): onAccess sees every committed
+ * access in commit order, but up to one batch late, after later
+ * simulation steps have run.  All accesses are delivered before each
+ * onThreadEnd and before finish.  Timing-coupled detectors and runs
+ * under an active EventTracer get each access as it commits.  Nothing
+ * may read detector state while a simulation is running.
  */
 
 #ifndef CORD_CORD_DETECTOR_H

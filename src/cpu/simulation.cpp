@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "cord/cord_detector.h"
 #include "obs/tracer.h"
 #include "sim/logging.h"
 
@@ -98,6 +99,23 @@ Simulation::scheduleCore(CoreId c)
 }
 
 void
+Simulation::wakeCore(CoreId c)
+{
+    // The response runs at (T, kPriResponse) and the issue step it
+    // wakes would run at (T, kPriCore).  When nothing pending sorts
+    // between the two, the step runs in place; it still takes its seq
+    // and counts as executed, so event accounting is unchanged.  Past
+    // the watchdog limit the step is scheduled, so run() returns
+    // before it exactly as it would have before.
+    if (!cores_[c].eventScheduled && events_.now() <= maxTicks_ &&
+        events_.claimNext(EventQueue::kPriCore)) {
+        coreStep(c);
+        return;
+    }
+    scheduleCore(c);
+}
+
+void
 Simulation::coreStep(CoreId c)
 {
     if (sched_ != nullptr) {
@@ -106,16 +124,23 @@ Simulation::coreStep(CoreId c)
     }
     Core &core = cores_[c];
     core.eventScheduled = false;
-    const std::size_t n = core.threads.size();
-    for (std::size_t probe = 0; probe < n; ++probe) {
+    for (std::size_t probe = 0, n = core.threads.size(); probe < n;) {
         Thread &t = *threads_[core.threads[core.rr]];
         // Compare-and-wrap instead of % n: this runs once per core
         // wake-up and the hardware divide was visible in profiles.
         core.rr = (core.rr + 1 < n) ? core.rr + 1 : 0;
+        ++probe;
         if (t.finished || t.waiting || t.blocked || !t.spawned)
             continue;
         if (runThread(t))
             return; // one in-flight operation per (blocking) core
+        if (core.threads.size() != n) {
+            // t migrated away: the list shrank and the cursor went
+            // back to 0.  Rescan what is left, so no runnable thread
+            // is stranded on an otherwise idle core.
+            n = core.threads.size();
+            probe = 0;
+        }
     }
 }
 
@@ -219,7 +244,7 @@ Simulation::runThread(Thread &t)
                 t.waiting = false;
                 if (t.computeRemaining == 0)
                     t.drv.complete(OpResult{0, false, events_.now()});
-                scheduleCore(t.core);
+                wakeCore(t.core);
             }, EventQueue::kPriResponse);
             return true;
         }
@@ -248,7 +273,7 @@ Simulation::runThread(Thread &t)
             events_.scheduleIn(1, [this, &t] {
                 t.waiting = false;
                 t.drv.complete(OpResult{0, false, events_.now()});
-                scheduleCore(t.core);
+                wakeCore(t.core);
             }, EventQueue::kPriResponse);
             return true;
 
@@ -317,7 +342,7 @@ Simulation::issueMemOp(Thread &t)
     events_.schedule(completion, [this, &t, op] {
         t.waiting = false;
         commitMemOp(t, op);
-        scheduleCore(t.core);
+        wakeCore(t.core);
     }, EventQueue::kPriResponse);
 }
 
@@ -344,8 +369,22 @@ Simulation::publish(Thread &t, Addr addr, AccessKind kind,
     mix(ev.tid);
     mix(static_cast<std::uint64_t>(kind));
     mix(ev.addr);
+    if (detectors_.empty())
+        return;
+    batch_.push_back(ev);
+    if (batch_.size() >= flushAt_)
+        flushDetectors();
+}
+
+void
+Simulation::flushDetectors()
+{
+    // Detector by detector, so each one's metadata stays host-cache
+    // hot across the whole batch.
     for (Detector *d : detectors_)
-        d->onAccess(ev);
+        for (const MemEvent &ev : batch_)
+            d->onAccess(ev);
+    batch_.clear();
 }
 
 void
@@ -393,6 +432,7 @@ Simulation::finishThread(Thread &t)
     cord_assert(!t.finished, "thread finished twice");
     t.finished = true;
     ++finishedThreads_;
+    flushDetectors();
     for (Detector *d : detectors_)
         d->onThreadEnd(t.tid, t.instrs);
     if (allFinished()) {
@@ -407,6 +447,20 @@ Simulation::run(Tick maxTicks)
 {
     for (unsigned i = 0; i < threads_.size(); ++i)
         cord_assert(threads_[i]->spawned, "thread ", i, " never spawned");
+    cord_assert(timingCord_ == nullptr ||
+                    std::find(detectors_.begin(), detectors_.end(),
+                              timingCord_) != detectors_.end(),
+                "the timing-coupled CORD must also be attached");
+    maxTicks_ = maxTicks;
+    if (timingCord_)
+        timingCord_->setTrafficSink(this);
+    // Coupled traffic is charged at the commit tick, and the trace ring
+    // must keep commit order: both need per-access delivery.
+    flushAt_ = (timingCord_ != nullptr || EventTracer::active() != nullptr)
+                   ? 1
+                   : kDetectorBatch;
+    if (!detectors_.empty())
+        batch_.reserve(flushAt_);
     if (sched_)
         sched_->begin(static_cast<unsigned>(threads_.size()),
                       static_cast<unsigned>(cores_.size()));
@@ -417,28 +471,35 @@ Simulation::run(Tick maxTicks)
     // Kernel-dispatch wall attribution: one timed block around the
     // whole dispatch loop (exact, two clock reads total) instead of a
     // per-step sampled timer -- per-event instrumentation is the one
-    // place where even a sampled hook costs whole percents.
+    // place where even a sampled hook costs whole percents.  The step
+    // count is the executedEvents() delta, which includes the core
+    // steps run in place (wakeCore).
     Profiler *const prof = Profiler::active();
     const auto dispatchStart = std::chrono::steady_clock::now();
-    std::uint64_t steps = 0;
+    const std::uint64_t eventsBefore = events_.executedEvents();
+    bool completed = true;
     while (!allFinished()) {
         if (events_.empty())
             cord_panic("event queue drained with ", finishedThreads_,
                        " of ", threads_.size(), " threads finished");
-        if (events_.now() > maxTicks)
-            return false; // watchdog: no Detector::finish()
+        if (events_.now() > maxTicks) {
+            completed = false; // watchdog: no Detector::finish()
+            break;
+        }
         events_.step();
-        ++steps;
     }
-    if (prof)
+    flushDetectors(); // a watchdog stop can leave a partial batch
+    if (timingCord_)
+        timingCord_->setTrafficSink(nullptr);
+    if (prof && completed)
         prof->addWallBlock(
             ProfDomain::KernelDispatch,
             static_cast<std::uint64_t>(
                 std::chrono::duration_cast<std::chrono::nanoseconds>(
                     std::chrono::steady_clock::now() - dispatchStart)
                     .count()),
-            steps);
-    return true;
+            events_.executedEvents() - eventsBefore);
+    return completed;
 }
 
 } // namespace cord

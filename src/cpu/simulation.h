@@ -4,7 +4,7 @@
  * times every operation through the MESI memory hierarchy, commits
  * accesses to the functional value store in a deterministic global
  * order, and publishes the committed access stream to the attached
- * detectors (CORD, vector-clock variants, Ideal).
+ * detectors (CORD, vector-clock variants, Ideal) in batches.
  *
  * An optional ExecutionGate throttles instruction retirement, which is
  * how deterministic replay (cord/replay.h) enforces the recorded order.
@@ -31,6 +31,8 @@
 
 namespace cord
 {
+
+class CordDetector;
 
 /**
  * Controls instruction retirement (deterministic replay).
@@ -69,8 +71,28 @@ class Simulation : public CordTrafficSink
      */
     void spawn(ThreadId tid, Task<void> body);
 
-    /** Attach a passive detector (not owned). */
+    /**
+     * Attach a passive detector (not owned).  Detectors see every
+     * committed access in commit order, but up to one batch
+     * (kDetectorBatch accesses) late: the simulation buffers the
+     * stream and runs each detector over the whole buffer in turn.
+     * The buffer is flushed before every onThreadEnd(), before
+     * finish() and before a watchdog return from run(), so a thread's
+     * accesses always precede its end and finish() has seen them all.
+     * A timing-coupled detector (setTimingCord) or an active
+     * EventTracer makes delivery per access.  Nothing may read
+     * detector state while run() is in progress.
+     */
     void addDetector(Detector *d);
+
+    /**
+     * Charge @p d's race checks and memory-timestamp broadcasts to
+     * this machine's buses during run() (Figure 11 runs); may be
+     * nullptr (no coupling).  @p d must also be attached with
+     * addDetector().  Its traffic lands at the commit tick, so a
+     * coupled run delivers each access to the detectors as it commits.
+     */
+    void setTimingCord(CordDetector *d) { timingCord_ = d; }
 
     /** Install a retirement gate (replay); may be nullptr. */
     void setGate(ExecutionGate *g) { gate_ = g; }
@@ -183,6 +205,10 @@ class Simulation : public CordTrafficSink
     /** Schedule a core-issue event at the current tick. */
     void scheduleCore(CoreId c);
 
+    /** scheduleCore at the tail of a response: when the issue step
+     *  would be the next event anyway, run it in place instead. */
+    void wakeCore(CoreId c);
+
     /** Issue work for one core: pick a ready thread and advance it. */
     void coreStep(CoreId c);
 
@@ -207,12 +233,18 @@ class Simulation : public CordTrafficSink
     void publish(Thread &t, Addr addr, AccessKind kind,
                  std::uint64_t value);
 
+    /** Run every detector over the buffered accesses, in turn. */
+    void flushDetectors();
+
     void finishThread(Thread &t);
 
     void foldChecksum(Thread &t, Addr addr, std::uint64_t value);
 
     /** Gate-retry delay when a thread is blocked (replay only). */
     static constexpr Tick kGateRetryTicks = 32;
+
+    /** Accesses buffered before the detectors run over them. */
+    static constexpr std::size_t kDetectorBatch = 256;
 
     MachineConfig cfg_;
     EventQueue events_;
@@ -223,6 +255,10 @@ class Simulation : public CordTrafficSink
     std::vector<std::unique_ptr<Thread>> threads_;
     std::vector<Core> cores_;
     std::vector<Detector *> detectors_;
+    CordDetector *timingCord_ = nullptr;
+    std::vector<MemEvent> batch_; //!< committed, not yet dispatched
+    std::size_t flushAt_ = 1;     //!< batch_ size that triggers a flush
+    Tick maxTicks_ = kMaxTick;    //!< run()'s watchdog limit
     ExecutionGate *gate_ = nullptr;
     SchedulePolicy *sched_ = nullptr;
     ScheduleLog *schedRec_ = nullptr;

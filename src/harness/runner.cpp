@@ -55,8 +55,7 @@ runWorkload(const RunSetup &setup)
                     setup.params.numThreads);
         sim.addDetector(d);
     }
-    if (setup.timingCord)
-        setup.timingCord->setTrafficSink(&sim);
+    sim.setTimingCord(setup.timingCord);
     if (setup.gate)
         sim.setGate(setup.gate);
     if (setup.sched)
@@ -121,9 +120,6 @@ runWorkload(const RunSetup &setup)
     }
     if (const Profiler *p = Profiler::active())
         exportProfileStats(*p, out.stats);
-
-    if (setup.timingCord)
-        setup.timingCord->setTrafficSink(nullptr);
     return out;
 }
 

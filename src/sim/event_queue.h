@@ -75,8 +75,32 @@ class EventQueue
     /** Current simulated time. */
     Tick now() const { return now_; }
 
-    /** Total events executed by step()/run() since construction. */
+    /** Total events executed by step()/run() since construction,
+     *  including turns claimed with claimNext(). */
     std::uint64_t executedEvents() const { return executed_; }
+
+    /** Total events scheduled since construction, including turns
+     *  claimed with claimNext(). */
+    std::uint64_t scheduledEvents() const { return nextSeq_; }
+
+    /**
+     * Claim the next turn for an event the caller would schedule at
+     * (now(), @p pri) and then wait for: when that event would be the
+     * next to run anyway, account for it exactly as schedule() + step()
+     * would (one seq, one executed event) and return true, so the
+     * caller runs the callback in place instead of round-tripping it
+     * through the heap.  Returns false, and changes nothing, when
+     * something pending must run first.
+     */
+    bool
+    claimNext(int pri)
+    {
+        if (!runsNext(pri))
+            return false;
+        ++nextSeq_;
+        ++executed_;
+        return true;
+    }
 
 #ifndef CORD_LEGACY_KERNEL
 
@@ -135,6 +159,23 @@ class EventQueue
 
     /** True when no events remain. */
     bool empty() const { return nodes_.empty(); }
+
+    /**
+     * True when an event scheduled now at priority @p pri would run
+     * next: the queue is empty, or its earliest event is at a later
+     * tick or has a higher (later-running) priority.  A pending
+     * same-tick event of equal priority was inserted earlier, so it
+     * runs first.
+     */
+    bool
+    runsNext(int pri) const
+    {
+        if (nodes_.empty())
+            return true;
+        const Node &top = nodes_.front();
+        return top.when > now_ ||
+               (top.key >> 56) > static_cast<std::uint64_t>(pri);
+    }
 
     /** Number of pending events. */
     std::size_t pending() const { return nodes_.size(); }
@@ -324,6 +365,13 @@ class EventQueue
     bool empty() const { return heap_.empty(); }
 
     std::size_t pending() const { return heap_.size(); }
+
+    bool
+    runsNext(int pri) const
+    {
+        return heap_.empty() || heap_.top().when > now_ ||
+               heap_.top().pri > pri;
+    }
 
     bool
     step()

@@ -2,7 +2,8 @@
  * @file
  * Unit tests for the discrete event kernel (sim/event_queue.h):
  * temporal ordering, same-tick priority ordering, insertion-order
- * tie-breaking, and the bounded run watchdog.
+ * tie-breaking, the bounded run watchdog, and in-place turns
+ * (runsNext / claimNext).
  */
 
 #include <gtest/gtest.h>
@@ -208,6 +209,90 @@ TEST(EventQueue, GoldenSameTickSequence)
         "t10.core.b",    "t10.core.late", "t10.walker",
     };
     EXPECT_EQ(seq, golden);
+}
+
+TEST(EventQueue, RunsNextPredicate)
+{
+    EventQueue q;
+    EXPECT_TRUE(q.runsNext(EventQueue::kPriCore)) << "empty queue";
+
+    // Advance to tick 10 with a same-tick event left pending at each
+    // priority in turn.
+    q.schedule(10, [] {});
+    q.step();
+    ASSERT_EQ(q.now(), 10u);
+
+    q.schedule(10, [] {}, EventQueue::kPriCore);
+    EXPECT_FALSE(q.runsNext(EventQueue::kPriCore))
+        << "same tick, equal priority: inserted earlier, runs first";
+    q.step();
+
+    q.schedule(10, [] {}, EventQueue::kPriResponse);
+    EXPECT_FALSE(q.runsNext(EventQueue::kPriCore))
+        << "same tick, lower priority value runs first";
+    q.step();
+
+    q.schedule(10, [] {}, EventQueue::kPriWalker);
+    EXPECT_TRUE(q.runsNext(EventQueue::kPriCore))
+        << "same tick, higher priority value runs later";
+    q.step();
+
+    q.schedule(11, [] {}, EventQueue::kPriBusGrant);
+    EXPECT_TRUE(q.runsNext(EventQueue::kPriCore)) << "later tick";
+    EXPECT_TRUE(q.runsNext(EventQueue::kPriWalker)) << "later tick";
+}
+
+TEST(EventQueue, ClaimNextAccountsLikeScheduleAndStep)
+{
+    // Two queues in the same state: one schedules an event at
+    // (now, kPriCore) and steps it, the other claims that turn in
+    // place.  Both must end with the same seq and executed counts and
+    // order every later event the same way.
+    EventQueue a;
+    EventQueue b;
+    for (EventQueue *q : {&a, &b}) {
+        q->schedule(4, [] {});
+        q->schedule(9, [] {}, EventQueue::kPriDefault);
+        q->step();
+    }
+
+    int ranA = 0;
+    a.schedule(a.now(), [&] { ++ranA; }, EventQueue::kPriCore);
+    ASSERT_TRUE(a.step());
+    EXPECT_EQ(ranA, 1);
+    ASSERT_TRUE(b.claimNext(EventQueue::kPriCore));
+
+    EXPECT_EQ(a.now(), b.now());
+    EXPECT_EQ(a.executedEvents(), b.executedEvents());
+    EXPECT_EQ(a.scheduledEvents(), b.scheduledEvents());
+    EXPECT_EQ(a.pending(), b.pending());
+
+    auto drain = [](EventQueue &q) {
+        std::vector<int> order;
+        q.schedule(9, [&order] { order.push_back(1); },
+                   EventQueue::kPriDefault);
+        q.schedule(9, [&order] { order.push_back(2); },
+                   EventQueue::kPriCore);
+        q.run();
+        return order;
+    };
+    const std::vector<int> orderA = drain(a);
+    EXPECT_EQ(orderA, (std::vector<int>{2, 1}));
+    EXPECT_EQ(drain(b), orderA);
+    EXPECT_EQ(a.executedEvents(), b.executedEvents());
+    EXPECT_EQ(a.scheduledEvents(), b.scheduledEvents());
+}
+
+TEST(EventQueue, ClaimNextRefusesWhenSomethingRunsFirst)
+{
+    EventQueue q;
+    q.schedule(0, [] {}, EventQueue::kPriResponse);
+    const std::uint64_t executed = q.executedEvents();
+    const std::uint64_t scheduled = q.scheduledEvents();
+    EXPECT_FALSE(q.claimNext(EventQueue::kPriCore));
+    EXPECT_EQ(q.executedEvents(), executed) << "a refused claim is a no-op";
+    EXPECT_EQ(q.scheduledEvents(), scheduled);
+    EXPECT_EQ(q.pending(), 1u);
 }
 
 TEST(EventQueue, SteadyStateScheduleStepDoesNotAllocate)

@@ -295,5 +295,24 @@ TEST(RunProfile, ActiveProfilerDoesNotPerturbSimulation)
     EXPECT_FALSE(plain.stats.has("profile.memService.cycles"));
 }
 
+TEST(RunProfile, KernelDispatchCountsEveryExecutedEvent)
+{
+    // Core steps run in place at the tail of a response never pass
+    // through Simulation::run's loop, but they are executed events
+    // all the same: the dispatch block must count them.
+    RunSetup setup;
+    setup.workload = "fft";
+    setup.params.numThreads = 4;
+    setup.params.seed = 1;
+    Profiler p;
+    RunOutcome out;
+    {
+        ProfilerScope ps(p);
+        out = runWorkload(setup);
+    }
+    ASSERT_TRUE(out.completed);
+    EXPECT_EQ(p.wallCalls(ProfDomain::KernelDispatch), out.events);
+}
+
 } // namespace
 } // namespace cord

@@ -3,16 +3,19 @@
  * Unit tests for the execution engine (cpu/simulation.h): instruction
  * accounting, compute timing at the configured issue width, functional
  * value semantics (loads/stores/CAS through the value store), the
- * committed-access stream seen by detectors, read checksums, and
- * multiple threads per core.
+ * committed-access stream seen by detectors and its batched delivery,
+ * read checksums, and multiple threads per core.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
+#include "cord/cord_detector.h"
 #include "cord/detector.h"
 #include "cpu/simulation.h"
+#include "obs/tracer.h"
 
 namespace cord
 {
@@ -180,6 +183,134 @@ TEST(Simulation, WatchdogReturnsFalse)
     sim.spawn(0, spin(0x100));
     EXPECT_FALSE(sim.run(50000));
     EXPECT_FALSE(sim.allFinished());
+}
+
+/**
+ * Checks the delivery contract of the batched detector dispatch
+ * (Simulation::addDetector): no access of a thread arrives after its
+ * onThreadEnd, every committed access has arrived by then, and the
+ * largest delivery lag (accesses committed but not yet seen) is
+ * recorded.
+ */
+class DeliveryCheck : public Detector
+{
+  public:
+    explicit DeliveryCheck(const Simulation &sim)
+        : Detector("delivery"), sim_(sim)
+    {
+    }
+
+    std::uint64_t seen = 0;
+    std::uint64_t maxLag = 0;
+    std::uint64_t seenAtFinish = 0;
+    std::vector<bool> ended = std::vector<bool>(64, false);
+
+    void
+    onAccess(const MemEvent &ev) override
+    {
+        EXPECT_FALSE(ended[ev.tid])
+            << "access of thread " << ev.tid << " after its end";
+        ++seen;
+        maxLag = std::max(maxLag, sim_.committedAccesses() - seen);
+    }
+
+    void
+    onThreadEnd(ThreadId tid, std::uint64_t) override
+    {
+        EXPECT_EQ(seen, sim_.committedAccesses())
+            << "thread " << tid << " ended with accesses undelivered";
+        ended[tid] = true;
+    }
+
+    void finish() override { seenAtFinish = seen; }
+
+  private:
+    const Simulation &sim_;
+};
+
+Task<void>
+storeLoop(Addr base, unsigned n)
+{
+    for (unsigned i = 0; i < n; ++i) {
+        co_await opStore(base + (i % 64) * kWordBytes, i);
+        co_await opLoad(base + ((i * 7) % 64) * kWordBytes);
+    }
+}
+
+/** Four threads of different lengths: threads end mid-batch. */
+void
+spawnUnevenThreads(Simulation &sim)
+{
+    for (unsigned t = 0; t < 4; ++t)
+        sim.spawn(static_cast<ThreadId>(t),
+                  storeLoop(0x10000 + t * 0x1000, 150 * (t + 1)));
+}
+
+TEST(Simulation, BatchedDispatchEndsThreadsAfterTheirAccesses)
+{
+    MachineConfig cfg;
+    Simulation sim(cfg, 4);
+    DeliveryCheck check(sim);
+    sim.addDetector(&check);
+    spawnUnevenThreads(sim);
+    ASSERT_TRUE(sim.run());
+    EXPECT_EQ(check.seenAtFinish, sim.committedAccesses());
+    EXPECT_EQ(check.seenAtFinish, 2u * 150 * (1 + 2 + 3 + 4));
+    EXPECT_GT(check.maxLag, 0u) << "untraced runs deliver in batches";
+    EXPECT_LT(check.maxLag, 256u) << "at most one batch late";
+}
+
+TEST(Simulation, TracedRunDeliversEachAccessAsItCommits)
+{
+    MachineConfig cfg;
+    Simulation sim(cfg, 4);
+    DeliveryCheck check(sim);
+    sim.addDetector(&check);
+    spawnUnevenThreads(sim);
+    EventTracer tracer;
+    {
+        TracerScope scope(tracer);
+        ASSERT_TRUE(sim.run());
+    }
+    EXPECT_EQ(check.seenAtFinish, sim.committedAccesses());
+    EXPECT_EQ(check.maxLag, 0u) << "the trace ring must keep commit order";
+}
+
+TEST(Simulation, TimingCoupledRunDeliversEachAccessAsItCommits)
+{
+    MachineConfig cfg;
+    Simulation sim(cfg, 4);
+    CordDetector cord(CordConfig::forMachine(cfg, 4));
+    DeliveryCheck check(sim);
+    sim.addDetector(&cord);
+    sim.addDetector(&check);
+    sim.setTimingCord(&cord);
+    spawnUnevenThreads(sim);
+    ASSERT_TRUE(sim.run());
+    EXPECT_EQ(check.seenAtFinish, sim.committedAccesses());
+    EXPECT_EQ(check.maxLag, 0u)
+        << "coupled traffic is charged at the commit tick";
+    EXPECT_GT(cord.stats().get("cord.raceChecks"), 0u);
+}
+
+TEST(Simulation, WatchdogDeliversEveryCommittedAccess)
+{
+    MachineConfig cfg;
+    Simulation sim(cfg, 1);
+    DeliveryCheck check(sim);
+    sim.addDetector(&check);
+    auto spin = [](Addr a) -> Task<void> {
+        for (;;) {
+            const OpResult r = co_await opLoad(a);
+            if (r.value == 1)
+                co_return; // never: nobody stores
+        }
+    };
+    sim.spawn(0, spin(0x100));
+    ASSERT_FALSE(sim.run(50000));
+    EXPECT_GT(sim.committedAccesses(), 256u) << "spans several batches";
+    EXPECT_EQ(check.seen, sim.committedAccesses())
+        << "a watchdog return must flush the batch";
 }
 
 TEST(SimulationDeath, SpawnTwiceIsABug)
