@@ -13,7 +13,7 @@
  *                    with every campaign's metrics (cordstat-readable)
  *   --json           print result tables as JSON (where supported)
  *   --repeat N       timed repetitions per measurement (median-of-N
- *                    reporting; default 5)
+ *                    reporting; N >= 1, default 5)
  *   --warmup N       untimed warmup repetitions before measuring
  *                    (default 1)
  *   --perf-out FILE  override the wall-clock timing manifest path of
@@ -51,6 +51,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -61,6 +62,7 @@
 #include "harness/table.h"
 #include "obs/manifest.h"
 #include "sim/logging.h"
+#include "sim/parse_num.h"
 #include "sim/rng.h"
 #include "workloads/workload.h"
 
@@ -69,13 +71,58 @@ namespace cord
 namespace bench
 {
 
+/** Options every bench binary accepts (see the file comment). */
+struct BenchArgs
+{
+    std::string tool = "bench";  //!< basename of argv[0]
+    unsigned jobs = 1;           //!< campaign/perf worker threads
+    std::string manifestPath;    //!< "" = no manifest
+    bool json = false;           //!< machine-readable tables
+    unsigned repeat = 5;         //!< timed repetitions (median-of-N)
+    unsigned warmup = 1;         //!< untimed repetitions first
+    std::string perfOutPath;     //!< "" = the binary's default
+    unsigned load = 0;           //!< 0 = resolve from CORD_LOAD / 100
+
+    /** Process start, captured by parseArgs: the reference point of
+     *  elapsedSec() for manifest wallSeconds stamps. */
+    std::chrono::steady_clock::time_point start;
+};
+
+/** The parsed flags (parseArgs fills them; defaults before that). */
+inline BenchArgs &
+args()
+{
+    static BenchArgs a;
+    return a;
+}
+
+/**
+ * Strictly parse @p text (sim/parse_num.h) as an unsigned in
+ * [@p min, @p max]; a malformed value exits 2 with a message naming
+ * @p what.
+ */
+inline unsigned
+parseUnsignedOrExit(const std::string &what, const std::string &text,
+                    unsigned min = 0,
+                    unsigned max = std::numeric_limits<unsigned>::max())
+{
+    const ParsedUnsigned r = parseUnsigned(what, text, min, max);
+    if (!r) {
+        std::fprintf(stderr, "%s: %s\n", args().tool.c_str(),
+                     r.error.c_str());
+        std::exit(2);
+    }
+    return static_cast<unsigned>(r.value);
+}
+
+/** Environment knob @p name, or @p dflt when unset or empty. */
 inline unsigned
 envUnsigned(const char *name, unsigned dflt)
 {
     const char *v = std::getenv(name);
     if (!v || !*v)
         return dflt;
-    return static_cast<unsigned>(std::strtoul(v, nullptr, 10));
+    return parseUnsignedOrExit(name, v);
 }
 
 /**
@@ -111,31 +158,6 @@ campaignSeed()
     return Rng::deriveSeed(baseSeed(), kBenchCampaignSeedTag);
 }
 
-/** Options every bench binary accepts (see the file comment). */
-struct BenchArgs
-{
-    std::string tool = "bench";  //!< basename of argv[0]
-    unsigned jobs = 1;           //!< campaign/perf worker threads
-    std::string manifestPath;    //!< "" = no manifest
-    bool json = false;           //!< machine-readable tables
-    unsigned repeat = 5;         //!< timed repetitions (median-of-N)
-    unsigned warmup = 1;         //!< untimed repetitions first
-    std::string perfOutPath;     //!< "" = the binary's default
-    unsigned load = 0;           //!< 0 = resolve from CORD_LOAD / 100
-
-    /** Process start, captured by parseArgs: the reference point of
-     *  elapsedSec() for manifest wallSeconds stamps. */
-    std::chrono::steady_clock::time_point start;
-};
-
-/** The parsed flags (parseArgs fills them; defaults before that). */
-inline BenchArgs &
-args()
-{
-    static BenchArgs a;
-    return a;
-}
-
 /**
  * Parse the shared bench flags.  Call first thing in main; exits with
  * usage on unknown arguments.  --jobs defaults to CORD_JOBS (else 1).
@@ -161,30 +183,20 @@ parseArgs(int argc, char **argv)
             return argv[++i];
         };
         if (arg == "--jobs") {
-            a.jobs = resolveJobs(
-                static_cast<unsigned>(std::strtoul(value(), nullptr, 10)));
+            a.jobs =
+                resolveJobs(parseUnsignedOrExit(arg, value(), 0, 4096));
         } else if (arg == "--manifest") {
             a.manifestPath = value();
         } else if (arg == "--json") {
             a.json = true;
         } else if (arg == "--repeat") {
-            a.repeat = static_cast<unsigned>(
-                std::strtoul(value(), nullptr, 10));
-            if (a.repeat == 0)
-                a.repeat = 1;
+            a.repeat = parseUnsignedOrExit(arg, value(), 1);
         } else if (arg == "--warmup") {
-            a.warmup = static_cast<unsigned>(
-                std::strtoul(value(), nullptr, 10));
+            a.warmup = parseUnsignedOrExit(arg, value());
         } else if (arg == "--perf-out") {
             a.perfOutPath = value();
         } else if (arg == "--load") {
-            a.load = static_cast<unsigned>(
-                std::strtoul(value(), nullptr, 10));
-            if (a.load == 0) {
-                std::fprintf(stderr, "%s: --load must be >= 1\n",
-                             a.tool.c_str());
-                std::exit(2);
-            }
+            a.load = parseUnsignedOrExit(arg, value(), 1);
         } else {
             std::fprintf(stderr,
                          "usage: %s [--jobs N] [--manifest FILE]"
@@ -228,9 +240,7 @@ loadLevels()
 {
     std::vector<unsigned> levels;
     for (const std::string &tok : splitCommaList(std::getenv("CORD_LOAD")))
-        if (const unsigned v = static_cast<unsigned>(
-                std::strtoul(tok.c_str(), nullptr, 10)))
-            levels.push_back(v);
+        levels.push_back(parseUnsignedOrExit("CORD_LOAD", tok, 1));
     if (levels.empty())
         levels = {50, 100, 200};
     return levels;

@@ -58,25 +58,13 @@ coreList()
     if (!v || !*v)
         return {4, 8, 16, 32, 64};
     std::vector<unsigned> cores;
-    unsigned cur = 0;
-    bool have = false;
-    for (const char *p = v;; ++p) {
-        if (*p >= '0' && *p <= '9') {
-            cur = cur * 10 + static_cast<unsigned>(*p - '0');
-            have = true;
-        } else if (*p == ',' || *p == '\0') {
-            if (have && cur > 0)
-                cores.push_back(cur);
-            cur = 0;
-            have = false;
-            if (*p == '\0')
-                break;
-        } else {
-            cord_fatal("CORD_CORES expects comma-separated core "
-                       "counts, got '", v, "'");
-        }
+    for (const std::string &tok : bench::splitCommaList(v))
+        cores.push_back(bench::parseUnsignedOrExit("CORD_CORES", tok, 1));
+    if (cores.empty()) {
+        std::fprintf(stderr, "%s: CORD_CORES named no core counts\n",
+                     bench::args().tool.c_str());
+        std::exit(2);
     }
-    cord_assert(!cores.empty(), "CORD_CORES named no core counts");
     return cores;
 }
 

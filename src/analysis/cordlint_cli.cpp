@@ -1,7 +1,6 @@
 #include "analysis/cordlint_cli.h"
 
-#include <cerrno>
-#include <cstdlib>
+#include "sim/parse_num.h"
 
 namespace cord
 {
@@ -78,26 +77,15 @@ fail(const std::string &msg)
     throw CliError{msg};
 }
 
-/** Strict unsigned parse: digits only, range-checked. */
+/** parseUnsigned, failing with a CliError on a malformed value. */
 std::uint64_t
 parseNum(const std::string &flag, const std::string &str,
          std::uint64_t min, std::uint64_t max = ~std::uint64_t{0})
 {
-    const char *s = str.c_str();
-    bool ok = *s != '\0';
-    for (const char *p = s; *p; ++p)
-        ok = ok && *p >= '0' && *p <= '9';
-    errno = 0;
-    char *end = nullptr;
-    const unsigned long long v = std::strtoull(s, &end, 10);
-    if (!ok || errno == ERANGE || v > max)
-        fail(flag + " expects an unsigned integer" +
-             (min > 0 ? " >= " + std::to_string(min) : "") + ", got '" +
-             str + "'");
-    if (v < min)
-        fail(flag + " must be at least " + std::to_string(min) +
-             ", got '" + str + "'");
-    return v;
+    const ParsedUnsigned r = parseUnsigned(flag, str, min, max);
+    if (!r)
+        fail(r.error);
+    return r.value;
 }
 
 const char *

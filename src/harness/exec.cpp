@@ -1,10 +1,10 @@
 #include "harness/exec.h"
 
-#include <cctype>
-#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <limits>
+
+#include "sim/parse_num.h"
 
 namespace cord
 {
@@ -27,21 +27,15 @@ envCount(const char *name)
     const char *v = std::getenv(name);
     if (!v || !*v)
         return 1;
-    char *end = nullptr;
-    errno = 0;
-    const unsigned long n = std::strtoul(v, &end, 10);
-    // strtoul alone would accept leading whitespace and sign
-    // characters; require a plain digit string.
-    if (!std::isdigit(static_cast<unsigned char>(*v)) || end == v ||
-        *end != '\0' || errno != 0 ||
-        n > std::numeric_limits<unsigned>::max()) {
-        std::fprintf(stderr,
-                     "cord: ignoring malformed %s='%s' (want a "
-                     "non-negative integer); using 1\n",
+    const ParsedUnsigned n = parseUnsigned(
+        name, v, 0, std::numeric_limits<unsigned>::max());
+    if (!n) {
+        std::fprintf(stderr, "cord: ignoring malformed %s='%s' (want a "
+                             "non-negative integer); using 1\n",
                      name, v);
         return 1;
     }
-    return static_cast<unsigned>(n);
+    return static_cast<unsigned>(n.value);
 }
 
 } // namespace

@@ -9,9 +9,8 @@
  * Storage is page-granular: words live in dense 512-word pages indexed
  * by a flat page table (sim/flat_map.h), with a one-entry MRU cache in
  * front.  Workload accesses are heavily page-local, so the common load
- * or store is a compare plus an array index -- no per-word hash-map
- * node, probe, or allocation as in the previous per-word
- * unordered_map.  A per-page written bitmap keeps footprintWords()
+ * or store is a compare plus an array index, with no per-word hash
+ * probe or allocation.  A per-page written bitmap keeps footprintWords()
  * exact (a page allocated by one store does not count its 511 untouched
  * words).
  */
@@ -26,58 +25,8 @@
 #include "sim/flat_map.h"
 #include "sim/types.h"
 
-#ifdef CORD_LEGACY_KERNEL
-#include <unordered_map>
-#endif
-
 namespace cord
 {
-
-#ifdef CORD_LEGACY_KERNEL
-
-/** Legacy perf-reference implementation: one unordered_map node per
- *  word, as before the page rewrite (see CMakeLists.txt
- *  CORD_LEGACY_KERNEL).  forEachWord visits in hash order. */
-class ValueStore
-{
-  public:
-    std::uint64_t
-    load(Addr a) const
-    {
-        auto it = mem_.find(wordAddr(a));
-        return it == mem_.end() ? 0 : it->second;
-    }
-
-    void store(Addr a, std::uint64_t v) { mem_[wordAddr(a)] = v; }
-
-    std::pair<std::uint64_t, bool>
-    compareAndSwap(Addr a, std::uint64_t expected, std::uint64_t desired)
-    {
-        const std::uint64_t old = load(a);
-        if (old == expected) {
-            store(a, desired);
-            return {old, true};
-        }
-        return {old, false};
-    }
-
-    std::size_t footprintWords() const { return mem_.size(); }
-
-    void clear() { mem_.clear(); }
-
-    template <typename Fn>
-    void
-    forEachWord(Fn &&fn) const
-    {
-        for (const auto &[a, v] : mem_)
-            fn(a, v);
-    }
-
-  private:
-    std::unordered_map<Addr, std::uint64_t> mem_;
-};
-
-#else
 
 /** Word-granularity functional memory, zero-initialized. */
 class ValueStore
@@ -204,8 +153,6 @@ class ValueStore
     mutable std::uint64_t mruPid_ = 0; //!< pid + 1; 0 = invalid
     mutable std::uint32_t mruIdx_ = 0;
 };
-
-#endif // CORD_LEGACY_KERNEL
 
 } // namespace cord
 

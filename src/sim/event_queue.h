@@ -7,21 +7,13 @@
  * (priority, insertion-order) order, which makes every simulation run
  * bit-exactly deterministic for a given seed and configuration.
  *
- * Two implementations live here:
- *
- *  - The default kernel keeps a binary heap of 24-byte POD nodes
- *    (tick, seq, priority, arena slot) and stores each callback once in
- *    a pooled slot arena with an embedded free list.  Scheduling never
- *    heap-allocates for hot-path captures (EventCallback stores up to
- *    64 bytes inline), sift operations move only POD nodes, and step()
- *    moves the callback out of its slot instead of copying the event.
- *  - The legacy kernel (`-DCORD_LEGACY_KERNEL=ON`) is the original
- *    std::priority_queue<Event> + std::function implementation.  CI's
- *    perf-smoke job builds it as the reference point for the
- *    machine-independent speedup floor (docs/PERFORMANCE.md).
- *
- * Both order events identically; the golden-sequence and determinism
- * tests run against whichever kernel is configured.
+ * The queue is a binary heap of 24-byte POD nodes (tick, packed
+ * priority/seq key, arena slot); each callback is constructed once,
+ * in place, in a pooled slot arena with an embedded free list.
+ * Scheduling never heap-allocates for hot-path captures (EventCallback
+ * stores up to 64 bytes inline), sift operations move only POD nodes,
+ * and step() moves the callback out of its slot instead of copying the
+ * event.
  */
 
 #ifndef CORD_SIM_EVENT_QUEUE_H
@@ -30,11 +22,6 @@
 #include <cstdint>
 #include <utility>
 #include <vector>
-
-#ifdef CORD_LEGACY_KERNEL
-#include <functional>
-#include <queue>
-#endif
 
 #include "sim/inline_callback.h"
 #include "sim/logging.h"
@@ -52,12 +39,6 @@ namespace cord
 class EventQueue
 {
   public:
-#ifdef CORD_LEGACY_KERNEL
-    using Callback = std::function<void()>;
-#else
-    using Callback = EventCallback;
-#endif
-
     /** Event priorities for same-tick ordering, lowest runs first. */
     enum Priority : int
     {
@@ -102,29 +83,14 @@ class EventQueue
         return true;
     }
 
-#ifndef CORD_LEGACY_KERNEL
-
     /**
-     * Schedule a callback at an absolute tick.
+     * Schedule a callable at an absolute tick, constructing it directly
+     * inside its arena slot.
      * @param when absolute tick, must be >= now()
-     * @param cb the callback to run
+     * @param fn any `void()` callable (moved or copied into the slot)
      * @param pri same-tick ordering priority
      */
-    void
-    schedule(Tick when, Callback cb, int pri = kPriDefault)
-    {
-        push(when, pri, allocSlot(std::move(cb)));
-    }
-
-    /**
-     * Schedule a callable, constructing it directly inside its arena
-     * slot -- the hot-path overload every lambda call site resolves
-     * to.  Skips the intermediate EventCallback (and its whole-buffer
-     * move) that the Callback overload costs.
-     */
-    template <typename Fn,
-              typename = std::enable_if_t<
-                  !std::is_same_v<std::decay_t<Fn>, Callback>>>
+    template <typename Fn>
     void
     schedule(Tick when, Fn &&fn, int pri = kPriDefault)
     {
@@ -140,17 +106,8 @@ class EventQueue
         push(when, pri, slot);
     }
 
-    /** Schedule a callback @p delta ticks from now. */
-    void
-    scheduleIn(Tick delta, Callback cb, int pri = kPriDefault)
-    {
-        schedule(now_ + delta, std::move(cb), pri);
-    }
-
-    /** Hot-path variant of scheduleIn (see schedule above). */
-    template <typename Fn,
-              typename = std::enable_if_t<
-                  !std::is_same_v<std::decay_t<Fn>, Callback>>>
+    /** Schedule a callable @p delta ticks from now. */
+    template <typename Fn>
     void
     scheduleIn(Tick delta, Fn &&fn, int pri = kPriDefault)
     {
@@ -196,7 +153,7 @@ class EventQueue
         // Move the callback to the stack and release the slot *before*
         // invoking: the callback may schedule() again (growing the
         // arena) and can immediately reuse this slot.
-        Callback cb = std::move(slots_[root.slot].cb);
+        EventCallback cb = std::move(slots_[root.slot].cb);
         freeSlot(root.slot);
         ++executed_;
         cb();
@@ -249,7 +206,7 @@ class EventQueue
     /** Arena slot: a callback plus an embedded free-list link. */
     struct Slot
     {
-        Callback cb;
+        EventCallback cb;
         std::uint32_t nextFree = kNoSlot;
     };
 
@@ -274,19 +231,6 @@ class EventQueue
         if (a.when != b.when)
             return a.when < b.when;
         return a.key < b.key;
-    }
-
-    std::uint32_t
-    allocSlot(Callback cb)
-    {
-        if (freeHead_ != kNoSlot) {
-            const std::uint32_t s = freeHead_;
-            freeHead_ = slots_[s].nextFree;
-            slots_[s].cb = std::move(cb);
-            return s;
-        }
-        slots_.push_back(Slot{std::move(cb), kNoSlot});
-        return static_cast<std::uint32_t>(slots_.size() - 1);
     }
 
     void
@@ -345,90 +289,6 @@ class EventQueue
     Tick now_ = 0;
     std::uint64_t nextSeq_ = 0;
     std::uint64_t executed_ = 0;
-
-#else // CORD_LEGACY_KERNEL
-
-    void
-    schedule(Tick when, Callback cb, int pri = kPriDefault)
-    {
-        cord_assert(when >= now_, "scheduling event in the past: ", when,
-                    " < ", now_);
-        heap_.push(Event{when, pri, nextSeq_++, std::move(cb)});
-    }
-
-    void
-    scheduleIn(Tick delta, Callback cb, int pri = kPriDefault)
-    {
-        schedule(now_ + delta, std::move(cb), pri);
-    }
-
-    bool empty() const { return heap_.empty(); }
-
-    std::size_t pending() const { return heap_.size(); }
-
-    bool
-    runsNext(int pri) const
-    {
-        return heap_.empty() || heap_.top().when > now_ ||
-               heap_.top().pri > pri;
-    }
-
-    bool
-    step()
-    {
-        if (heap_.empty())
-            return false;
-        Event ev = heap_.top();
-        heap_.pop();
-        cord_assert(ev.when >= now_, "event queue time went backwards");
-        now_ = ev.when;
-        ++executed_;
-        ev.cb();
-        return true;
-    }
-
-    std::uint64_t
-    run(Tick maxTicks = kMaxTick)
-    {
-        std::uint64_t executed = 0;
-        const Tick limit = (maxTicks >= kMaxTick - now_)
-                               ? kMaxTick
-                               : now_ + maxTicks;
-        while (!heap_.empty() && heap_.top().when <= limit) {
-            step();
-            ++executed;
-        }
-        return executed;
-    }
-
-  private:
-    struct Event
-    {
-        Tick when;
-        int pri;
-        std::uint64_t seq;
-        Callback cb;
-    };
-
-    struct Later
-    {
-        bool
-        operator()(const Event &a, const Event &b) const
-        {
-            if (a.when != b.when)
-                return a.when > b.when;
-            if (a.pri != b.pri)
-                return a.pri > b.pri;
-            return a.seq > b.seq;
-        }
-    };
-
-    std::priority_queue<Event, std::vector<Event>, Later> heap_;
-    Tick now_ = 0;
-    std::uint64_t nextSeq_ = 0;
-    std::uint64_t executed_ = 0;
-
-#endif // CORD_LEGACY_KERNEL
 };
 
 } // namespace cord

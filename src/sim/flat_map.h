@@ -2,13 +2,10 @@
  * @file
  * Open-addressing hash map keyed by Addr, for per-access hot paths.
  *
- * std::unordered_map costs one heap node per element plus a pointer
- * chase per probe; on the detectors' infinite-residency lookups that
- * dominated the access loop.  FlatAddrMap keeps a flat power-of-two
- * bucket array (16-byte {key, dense-index} entries probed linearly)
- * pointing into dense key/value vectors, so a hit is typically one
- * cache line of buckets plus one contiguous value access, and inserts
- * amortize to appends.
+ * FlatAddrMap keeps a flat power-of-two bucket array (16-byte
+ * {key, dense-index} entries probed linearly) pointing into dense
+ * key/value vectors, so a hit is typically one cache line of buckets
+ * plus one contiguous value access, and inserts amortize to appends.
  *
  * Iteration (forEach) walks the dense arrays in insertion order --
  * *not* hash order -- so walking is deterministic across platforms and
@@ -32,70 +29,8 @@
 #include "sim/logging.h"
 #include "sim/types.h"
 
-#ifdef CORD_LEGACY_KERNEL
-#include <unordered_map>
-#endif
-
 namespace cord
 {
-
-#ifdef CORD_LEGACY_KERNEL
-
-/**
- * Legacy perf-reference implementation: the pre-rewrite
- * std::unordered_map, behind the same interface.  Iteration is in
- * hash order (not deterministic across standard libraries), so this
- * build is for the CI perf-smoke speedup comparison only -- see
- * CMakeLists.txt CORD_LEGACY_KERNEL.
- */
-template <typename T>
-class FlatAddrMap
-{
-  public:
-    std::size_t size() const { return m_.size(); }
-    bool empty() const { return m_.empty(); }
-
-    T *
-    find(Addr key)
-    {
-        auto it = m_.find(key);
-        return it == m_.end() ? nullptr : &it->second;
-    }
-
-    const T *
-    find(Addr key) const
-    {
-        auto it = m_.find(key);
-        return it == m_.end() ? nullptr : &it->second;
-    }
-
-    T &operator[](Addr key) { return m_[key]; }
-
-    bool erase(Addr key) { return m_.erase(key) != 0; }
-
-    template <typename Fn>
-    void
-    forEach(Fn &&fn)
-    {
-        for (auto &[k, v] : m_)
-            fn(k, v);
-    }
-
-    template <typename Fn>
-    void
-    forEach(Fn &&fn) const
-    {
-        for (const auto &[k, v] : m_)
-            fn(k, v);
-    }
-
-    void clear() { m_.clear(); }
-
-  private:
-    std::unordered_map<Addr, T> m_;
-};
-
-#else
 
 /**
  * Flat open-addressing Addr -> T map with insertion-order iteration.
@@ -292,8 +227,6 @@ class FlatAddrMap
     std::vector<T> vals_;
     std::size_t mask_ = 0;
 };
-
-#endif // CORD_LEGACY_KERNEL
 
 } // namespace cord
 

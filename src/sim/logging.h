@@ -71,7 +71,7 @@ format(Args &&...args)
  * the same name): level >= 1 (the default) checks every invariant;
  * level 0 compiles checks out entirely so hot-loop asserts like the
  * event queue's `when >= now_` are free in benchmark builds
- * (configure with -DCORD_ASSERT_LEVEL=0, as CI's perf-smoke job does).
+ * (configure with -DCORD_ASSERT_LEVEL=0).
  * The default stays ON in every build type -- including
  * RelWithDebInfo, which defines NDEBUG -- because correctness CI
  * (Debug/ASan/TSan and the death tests in tests/) relies on it.

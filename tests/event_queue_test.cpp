@@ -10,6 +10,8 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <functional>
+#include <memory>
 #include <new>
 #include <string>
 #include <vector>
@@ -295,11 +297,26 @@ TEST(EventQueue, ClaimNextRefusesWhenSomethingRunsFirst)
     EXPECT_EQ(q.pending(), 1u);
 }
 
+TEST(EventQueue, ScheduleTakesMoveOnlyAndLvalueCallables)
+{
+    // One template path serves every callable: a move-only capture is
+    // moved into its slot, and an lvalue std::function is copied, so
+    // the caller's copy stays usable.
+    EventQueue q;
+    std::vector<int> order;
+    auto box = std::make_unique<int>(7);
+    q.schedule(5, [&order, p = std::move(box)] { order.push_back(*p); });
+    std::function<void()> fn = [&order] { order.push_back(1); };
+    q.scheduleIn(5, fn);
+    q.schedule(6, fn);
+    q.run();
+    EXPECT_EQ(order, (std::vector<int>{7, 1, 1}));
+    fn();
+    EXPECT_EQ(order.size(), 4u);
+}
+
 TEST(EventQueue, SteadyStateScheduleStepDoesNotAllocate)
 {
-#ifdef CORD_LEGACY_KERNEL
-    GTEST_SKIP() << "legacy kernel heap-allocates per event";
-#else
     EventQueue q;
     std::uint64_t sink = 0;
     // Warm-up: grow the node heap and slot arena to steady-state
@@ -318,7 +335,6 @@ TEST(EventQueue, SteadyStateScheduleStepDoesNotAllocate)
     EXPECT_EQ(after, before)
         << "schedule/step steady state must not touch the heap";
     EXPECT_EQ(sink, 33u * 2016u); // 33 rounds x sum(0..63)
-#endif
 }
 
 TEST(EventQueueDeath, SchedulingInThePastPanics)

@@ -118,9 +118,6 @@ TEST(FlatAddrMap, EraseThenReinsert)
 
 TEST(FlatAddrMap, ForEachVisitsInInsertionOrder)
 {
-#ifdef CORD_LEGACY_KERNEL
-    GTEST_SKIP() << "legacy unordered_map iterates in hash order";
-#else
     FlatAddrMap<int> m;
     const std::vector<Addr> keys{512, 0, 99999, 64, 4096};
     for (std::size_t i = 0; i < keys.size(); ++i)
@@ -136,14 +133,10 @@ TEST(FlatAddrMap, ForEachVisitsInInsertionOrder)
     std::vector<Addr> seenConst;
     cm.forEach([&](Addr k, const int &) { seenConst.push_back(k); });
     EXPECT_EQ(seenConst, keys);
-#endif
 }
 
 TEST(FlatAddrMap, EraseSwapsLastIntoHole)
 {
-#ifdef CORD_LEGACY_KERNEL
-    GTEST_SKIP() << "legacy unordered_map iterates in hash order";
-#else
     // Documented contract: erase() moves the last-inserted element
     // into the erased dense slot, so iteration order is perturbed
     // deterministically.
@@ -154,7 +147,6 @@ TEST(FlatAddrMap, EraseSwapsLastIntoHole)
     std::vector<Addr> seen;
     m.forEach([&](Addr k, int &) { seen.push_back(k); });
     EXPECT_EQ(seen, (std::vector<Addr>{1, 4, 3}));
-#endif
 }
 
 TEST(FlatAddrMap, ForEachMayMutateValues)

@@ -41,6 +41,7 @@
 #include "obs/tracer.h"
 #include "sched/explore.h"
 #include "sched/replay.h"
+#include "sim/parse_num.h"
 
 using namespace cord;
 
@@ -171,25 +172,15 @@ fail(const std::string &msg)
     std::exit(2);
 }
 
-/** Strict unsigned parse: digits only, range-checked. */
+/** parseUnsigned, failing with exit 2 on a malformed value. */
 std::uint64_t
 parseNum(const std::string &flag, const char *s, std::uint64_t min,
          std::uint64_t max = ~std::uint64_t{0})
 {
-    bool ok = *s != '\0';
-    for (const char *p = s; *p; ++p)
-        ok = ok && *p >= '0' && *p <= '9';
-    errno = 0;
-    char *end = nullptr;
-    const unsigned long long v = std::strtoull(s, &end, 10);
-    if (!ok || errno == ERANGE || v > max)
-        fail(flag + " expects an unsigned integer" +
-             (min > 0 ? " >= " + std::to_string(min) : "") + ", got '" +
-             s + "'");
-    if (v < min)
-        fail(flag + " must be at least " + std::to_string(min) +
-             ", got '" + s + "'");
-    return v;
+    const ParsedUnsigned r = parseUnsigned(flag, s, min, max);
+    if (!r)
+        fail(r.error);
+    return r.value;
 }
 
 Options
@@ -374,14 +365,16 @@ parse(int argc, char **argv)
     return opt;
 }
 
+/** Upper bound on CORD_TRACE_CAPACITY: 2^26 events, a 2 GiB ring. */
+constexpr std::uint64_t kMaxTraceCapacity = std::uint64_t{1} << 26;
+
 std::size_t
 traceCapacity()
 {
     const char *v = std::getenv("CORD_TRACE_CAPACITY");
     if (!v || !*v)
         return EventTracer::kDefaultCapacity;
-    const std::size_t n = std::strtoull(v, nullptr, 10);
-    return n ? n : EventTracer::kDefaultCapacity;
+    return parseNum("CORD_TRACE_CAPACITY", v, 1, kMaxTraceCapacity);
 }
 
 std::string

@@ -24,8 +24,8 @@
  *   bench-history show      render the db with per-entry deltas
  *   bench-history check B.json    compare a bench manifest against the
  *                           db's last entry for the same bench; exit 1
- *                           when --metric regressed below --min-ratio
- *                           (or by more than --max-regress percent)
+ *                           when --metric fell below --min-ratio times
+ *                           the baseline (default 0.9)
  *
  * --jobs N parses and flattens manifests on N worker threads (show and
  * agg over large campaign directories); output order and aggregates
@@ -36,6 +36,7 @@
  */
 
 #include <algorithm>
+#include <cerrno>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -50,6 +51,7 @@
 #include "obs/json.h"
 #include "obs/manifest.h"
 #include "obs/metrics.h"
+#include "sim/parse_num.h"
 
 using namespace cord;
 
@@ -70,11 +72,39 @@ usage()
         "       cordstat bench-history record [--db F] B.json\n"
         "       cordstat bench-history show [--db F] [--metric M]\n"
         "       cordstat bench-history check [--db F] [--metric M]\n"
-        "           [--max-regress PCT | --min-ratio R] B.json\n");
+        "           [--min-ratio R] B.json\n");
     std::exit(2);
 }
 
 unsigned g_jobs = 1; //!< --jobs: manifest parse/flatten workers
+
+/** One-line usage error for a malformed option value, exit 2. */
+[[noreturn]] void
+badValue(const std::string &msg)
+{
+    std::fprintf(stderr, "cordstat: %s\n", msg.c_str());
+    std::exit(2);
+}
+
+/**
+ * Strictly parse a non-negative decimal (--tol, --min-ratio): digits
+ * with an optional fraction and exponent, nothing else -- no sign,
+ * whitespace, hex, inf or nan.
+ */
+double
+parseReal(const std::string &flag, const char *s)
+{
+    bool ok = (*s >= '0' && *s <= '9') || *s == '.';
+    for (const char *p = s; *p && ok; ++p)
+        ok = std::strchr("0123456789.eE+-", *p) != nullptr;
+    char *end = nullptr;
+    errno = 0;
+    const double v = ok ? std::strtod(s, &end) : 0.0;
+    if (!ok || *end != '\0' || errno == ERANGE || !std::isfinite(v))
+        badValue(flag + " expects a non-negative number, got '" + s +
+                 "'");
+    return v;
+}
 
 bool
 readFile(const std::string &path, std::string &out)
@@ -851,33 +881,35 @@ main(int argc, char **argv)
     g_jobs = defaultJobs();
     std::string db = "BENCH_history.jsonl";
     std::string metric = "perf.total.eventsPerSec";
-    double maxRegressPct = 10.0;
-    double minRatio = 0.0; // 0 = derive from --max-regress
+    double minRatio = 0.9;
     bool summary = false;
     std::vector<std::string> paths;
     for (int i = argStart; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--tol") == 0 && i + 1 < argc)
-            tolPct = std::atof(argv[++i]);
-        else if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc)
-            g_jobs = resolveJobs(
-                static_cast<unsigned>(std::atoi(argv[++i])));
-        else if (std::strcmp(argv[i], "--db") == 0 && i + 1 < argc)
-            db = argv[++i];
-        else if (std::strcmp(argv[i], "--metric") == 0 && i + 1 < argc)
-            metric = argv[++i];
-        else if (std::strcmp(argv[i], "--max-regress") == 0 &&
-                 i + 1 < argc)
-            maxRegressPct = std::atof(argv[++i]);
-        else if (std::strcmp(argv[i], "--min-ratio") == 0 &&
-                 i + 1 < argc)
-            minRatio = std::atof(argv[++i]);
-        else if (std::strcmp(argv[i], "--summary") == 0)
+        const std::string a = argv[i];
+        auto value = [&]() -> const char * {
+            if (i + 1 >= argc)
+                badValue(a + " needs a value");
+            return argv[++i];
+        };
+        if (a == "--tol") {
+            tolPct = parseReal(a, value());
+        } else if (a == "--jobs") {
+            const ParsedUnsigned n = parseUnsigned(a, value(), 0, 4096);
+            if (!n)
+                badValue(n.error);
+            g_jobs = resolveJobs(static_cast<unsigned>(n.value));
+        } else if (a == "--db") {
+            db = value();
+        } else if (a == "--metric") {
+            metric = value();
+        } else if (a == "--min-ratio") {
+            minRatio = parseReal(a, value());
+        } else if (a == "--summary") {
             summary = true;
-        else
-            paths.push_back(argv[i]);
+        } else {
+            paths.push_back(a);
+        }
     }
-    if (minRatio == 0.0)
-        minRatio = 1.0 - maxRegressPct / 100.0;
 
     if (cmd == "bench-history") {
         if (sub == "record" && paths.size() == 1)
