@@ -262,6 +262,113 @@ TEST(DeterminismGolden, ServerOrderLogBytes)
         << "server-tier order-log bytes changed";
 }
 
+/**
+ * Campaign-manifest digest table (ROADMAP item 2's prerequisite):
+ * every workload's `cordsim --campaign 12 --scale 1` campaign (seed 1,
+ * CORD-D16 + VC-L2Cache), plus a thread-migration machine and a
+ * 16-core directory machine.  lu, radix and the migration row contain
+ * runs that hit the watchdog, so a change to how hung runs end or are
+ * counted shows here too.  Same re-record rule as the goldens above.
+ */
+struct CampaignGoldenRow
+{
+    const char *name;
+    const char *workload;
+    unsigned threads;
+    unsigned cores;
+    bool directory;
+    std::uint64_t migrate; //!< MachineConfig::migrationPeriodInstrs
+    bool hangs;            //!< the campaign must contain hung runs
+    std::uint64_t digest;
+};
+
+constexpr CampaignGoldenRow kGoldenCampaignTable[] = {
+    {"barnes", "barnes", 4, 4, false, 0, false, 0xcc2fc61bfe294df2ULL},
+    {"cholesky", "cholesky", 4, 4, false, 0, false, 0x1d7aa48811ce2e12ULL},
+    {"fft", "fft", 4, 4, false, 0, false, 0x72ab3f461b6cee21ULL},
+    {"fmm", "fmm", 4, 4, false, 0, false, 0x7b4ae406800b7834ULL},
+    {"lu", "lu", 4, 4, false, 0, true, 0x642188a5a4fb404fULL},
+    {"ocean", "ocean", 4, 4, false, 0, false, 0x18f56fb4df6bd21dULL},
+    {"radiosity", "radiosity", 4, 4, false, 0, false, 0x2601189505e5e462ULL},
+    {"radix", "radix", 4, 4, false, 0, true, 0x5344415e95c004eeULL},
+    {"raytrace", "raytrace", 4, 4, false, 0, false, 0x474ca07b9f5dbd87ULL},
+    {"volrend", "volrend", 4, 4, false, 0, false, 0x5835f2ad3758e317ULL},
+    {"water_n2", "water-n2", 4, 4, false, 0, false, 0x13d98379b62b4ecfULL},
+    {"water_sp", "water-sp", 4, 4, false, 0, false, 0x6a74f3d864c213e0ULL},
+    {"kvstore", "kvstore", 4, 4, false, 0, false, 0x3ae24f99a588a960ULL},
+    {"worksteal", "worksteal", 4, 4, false, 0, false, 0x97a6bc2e1a15c08aULL},
+    {"rcureg", "rcureg", 4, 4, false, 0, false, 0x2635d0596950cc34ULL},
+    {"eventloop", "eventloop", 4, 4, false, 0, false, 0xb32e4760303b50b0ULL},
+    {"fft_migrate500", "fft", 4, 4, false, 500, true, 0xa64f1ea3ab69f88bULL},
+    {"barnes_dir16", "barnes", 16, 16, true, 0, false, 0x199bdbb21a79d4a6ULL},
+};
+
+/** The row's campaign as `cordsim --campaign 12 --scale 1` (seed 1)
+ *  configures it, rendered like the fixture manifests above. */
+std::string
+tableManifestBytes(const CampaignGoldenRow &row, unsigned jobs,
+                   CampaignResult *out = nullptr)
+{
+    CampaignConfig cfg;
+    cfg.workload = row.workload;
+    cfg.params.numThreads = row.threads;
+    cfg.params.scale = 1;
+    cfg.params.seed = 12;
+    cfg.machine.numCores = row.cores;
+    if (row.directory)
+        cfg.machine.coherence = CoherenceKind::Directory;
+    cfg.machine.migrationPeriodInstrs = row.migrate;
+    cfg.injections = 12;
+    cfg.seed = 114;
+    cfg.jobs = jobs;
+    const CampaignResult r =
+        runCampaign(cfg, {cordSpec(16), vcL2CacheSpec()});
+    if (out)
+        *out = r;
+    RunManifest m;
+    m.tool = "determinism_golden_table";
+    m.seed = 1;
+    m.setConfig("scale", std::uint64_t(1));
+    m.setConfig("injections", std::uint64_t(12));
+    addCampaignMetrics(m, row.workload, r);
+    return m.renderJson(/*includeVolatile=*/false);
+}
+
+/** gtest prints a failing parameter with this instead of its bytes. */
+void
+PrintTo(const CampaignGoldenRow &row, std::ostream *os)
+{
+    *os << row.name;
+}
+
+class CampaignGoldenTable
+    : public ::testing::TestWithParam<CampaignGoldenRow>
+{
+};
+
+TEST_P(CampaignGoldenTable, ManifestBytesJobs1And4)
+{
+    const CampaignGoldenRow &row = GetParam();
+    CampaignResult r;
+    const std::string j1 = tableManifestBytes(row, 1, &r);
+    report((std::string("kGoldenCampaignTable[") + row.name + "]").c_str(),
+           fnv1a(j1));
+    EXPECT_EQ(fnv1a(j1), row.digest)
+        << row.name << ": campaign manifest bytes changed";
+    if (row.hangs) {
+        EXPECT_GT(r.timeouts, 0u)
+            << row.name << ": the row no longer covers hung runs";
+    }
+    EXPECT_EQ(j1, tableManifestBytes(row, 4))
+        << row.name << ": manifest differs between --jobs 1 and 4";
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Table, CampaignGoldenTable, ::testing::ValuesIn(kGoldenCampaignTable),
+    [](const ::testing::TestParamInfo<CampaignGoldenRow> &p) {
+        return std::string(p.param.name);
+    });
+
 TEST(DeterminismGolden, ScheduleLogBytes)
 {
     SchedOptions opts;
