@@ -223,6 +223,7 @@ struct Parser
 {
     std::string_view text;
     std::size_t pos = 0;
+    unsigned depth = 0; //!< open arrays/objects
     std::string err;
 
     bool
@@ -358,47 +359,67 @@ struct Parser
     bool
     parseValue(JsonValue &out)
     {
-        switch (peek()) {
-          case '{': {
-            consume('{');
-            JsonBuilder::setObject(out);
+        const char c = peek();
+        if (c != '{' && c != '[')
+            return parseScalar(c, out);
+        if (depth == JsonValue::kMaxDepth)
+            return fail("arrays/objects nested too deeply");
+        ++depth;
+        const bool ok = c == '{' ? parseObject(out) : parseArray(out);
+        --depth;
+        return ok;
+    }
+
+    bool
+    parseObject(JsonValue &out)
+    {
+        consume('{');
+        JsonBuilder::setObject(out);
+        if (consume('}'))
+            return true;
+        for (;;) {
+            std::string k;
+            if (!parseString(k))
+                return false;
+            if (!consume(':'))
+                return fail("expected ':'");
+            JsonValue v;
+            if (!parseValue(v))
+                return false;
+            JsonBuilder::keys(out).push_back(std::move(k));
+            JsonBuilder::items(out).push_back(std::move(v));
+            if (consume(','))
+                continue;
             if (consume('}'))
                 return true;
-            for (;;) {
-                std::string k;
-                if (!parseString(k))
-                    return false;
-                if (!consume(':'))
-                    return fail("expected ':'");
-                JsonValue v;
-                if (!parseValue(v))
-                    return false;
-                JsonBuilder::keys(out).push_back(std::move(k));
-                JsonBuilder::items(out).push_back(std::move(v));
-                if (consume(','))
-                    continue;
-                if (consume('}'))
-                    return true;
-                return fail("expected ',' or '}'");
-            }
-          }
-          case '[': {
-            consume('[');
-            JsonBuilder::setArray(out);
+            return fail("expected ',' or '}'");
+        }
+    }
+
+    bool
+    parseArray(JsonValue &out)
+    {
+        consume('[');
+        JsonBuilder::setArray(out);
+        if (consume(']'))
+            return true;
+        for (;;) {
+            JsonValue v;
+            if (!parseValue(v))
+                return false;
+            JsonBuilder::items(out).push_back(std::move(v));
+            if (consume(','))
+                continue;
             if (consume(']'))
                 return true;
-            for (;;) {
-                JsonValue v;
-                if (!parseValue(v))
-                    return false;
-                JsonBuilder::items(out).push_back(std::move(v));
-                if (consume(','))
-                    continue;
-                if (consume(']'))
-                    return true;
-                return fail("expected ',' or ']'");
-            }
-          }
+            return fail("expected ',' or ']'");
+        }
+    }
+
+    bool
+    parseScalar(char c, JsonValue &out)
+    {
+        switch (c) {
           case '"': {
             std::string s;
             if (!parseString(s))

@@ -89,9 +89,15 @@ class JsonValue
         Object,
     };
 
+    /** Deepest array/object nesting parse() accepts.  Our artifacts
+     *  nest a few levels; the bound keeps the recursive descent's
+     *  stack use small on hostile input. */
+    static constexpr unsigned kMaxDepth = 256;
+
     /**
      * Parse @p text.
-     * @return the root value, or nullopt (with @p err set when given)
+     * @return the root value, or nullopt (with @p err set when given),
+     *         also when arrays/objects nest deeper than kMaxDepth
      */
     static std::optional<JsonValue> parse(std::string_view text,
                                           std::string *err = nullptr);

@@ -8,7 +8,11 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/wait.h>
+
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 #include <limits>
 #include <map>
 #include <thread>
@@ -76,6 +80,40 @@ TEST(Json, ParseRejectsGarbage)
     EXPECT_FALSE(JsonValue::parse("[1,2] trailing").has_value());
     EXPECT_FALSE(JsonValue::parse("\"unterminated").has_value());
     EXPECT_FALSE(JsonValue::parse("nulll").has_value());
+}
+
+TEST(Json, ParseBoundsNestingDepth)
+{
+    // 10^6 nested '[' once overflowed the recursive descent's stack.
+    std::string err;
+    EXPECT_FALSE(JsonValue::parse(std::string(1000000, '['), &err));
+    EXPECT_NE(err.find("nested too deeply"), std::string::npos) << err;
+
+    const unsigned max = JsonValue::kMaxDepth;
+    const std::string deepest =
+        std::string(max - 1, '[') + "{\"a\":1}" + std::string(max - 1, ']');
+    EXPECT_TRUE(JsonValue::parse(deepest, &err)) << err;
+    const std::string over =
+        std::string(max, '[') + "{\"a\":1}" + std::string(max, ']');
+    EXPECT_FALSE(JsonValue::parse(over));
+}
+
+TEST(Json, CordstatShowRejectsDeepNesting)
+{
+    const std::string path = testing::TempDir() + "deep_nesting.json";
+    {
+        std::FILE *f = std::fopen(path.c_str(), "wb");
+        ASSERT_NE(f, nullptr);
+        const std::string deep(2000000, '[');
+        std::fwrite(deep.data(), 1, deep.size(), f);
+        std::fclose(f);
+    }
+    const std::string cmd = std::string(CORDSTAT_BIN) + " show " + path +
+                            " > /dev/null 2>&1";
+    const int status = std::system(cmd.c_str());
+    ASSERT_TRUE(WIFEXITED(status)) << "cordstat died: status " << status;
+    EXPECT_EQ(WEXITSTATUS(status), 2);
+    std::remove(path.c_str());
 }
 
 TEST(Json, ParseUnicodeEscapes)
