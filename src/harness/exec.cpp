@@ -38,6 +38,8 @@ envCount(const char *name)
     return static_cast<unsigned>(n.value);
 }
 
+std::atomic<unsigned> g_alivePools{0};
+
 } // namespace
 
 unsigned
@@ -68,6 +70,7 @@ mixSeed(std::uint64_t seed, std::uint64_t index)
 
 ThreadPool::ThreadPool(unsigned workers)
 {
+    g_alivePools.fetch_add(1, std::memory_order_relaxed);
     threads_.reserve(workers ? workers : 1);
     for (unsigned w = 0; w < (workers ? workers : 1); ++w)
         threads_.emplace_back([this] { workerMain(); });
@@ -82,6 +85,13 @@ ThreadPool::~ThreadPool()
     cv_.notify_all();
     for (std::thread &t : threads_)
         t.join();
+    g_alivePools.fetch_sub(1, std::memory_order_relaxed);
+}
+
+unsigned
+ThreadPool::alive()
+{
+    return g_alivePools.load(std::memory_order_relaxed);
 }
 
 void

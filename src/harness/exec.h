@@ -85,6 +85,11 @@ class ThreadPool
         return static_cast<unsigned>(threads_.size());
     }
 
+    /** Pools constructed and not yet destroyed, process-wide.  A
+     *  campaign trunk forks, so it asserts this is 0
+     *  (harness/trunk.h). */
+    static unsigned alive();
+
   private:
     void workerMain();
 

@@ -78,19 +78,23 @@ struct CampaignConfig
     unsigned schedules = 1;
     SchedOptions sched;
 
-    /** Worker threads for the injection runs (harness/exec.h).  Every
-     *  job count yields bit-identical results for a given seed: picks
-     *  are drawn up front and results merge in submission order.  0
-     *  means one worker per hardware thread. */
+    /** Parallel jobs for the injection runs: simulating processes,
+     *  the trunk included, when the runs fork from one trunk
+     *  (harness/trunk.h); worker threads when every run is simulated
+     *  afresh (harness/exec.h).  Every job count yields bit-identical
+     *  results for a given seed: picks are drawn up front and results
+     *  merge in submission order.  0 means one job per hardware
+     *  thread. */
     unsigned jobs = 1;
 
     /** Attach a TraceRecorder to every injection run (needed by
      *  post-run lint observers; costs memory proportional to the
-     *  access count). */
+     *  access count).  Selects the fresh-run fan-out. */
     bool recordTrace = false;
 
     /** Called after every completed injection run, e.g. to lint the
-     *  run's artifacts (tools/cordlint does the same offline). */
+     *  run's artifacts (tools/cordlint does the same offline).
+     *  Selects the fresh-run fan-out. */
     std::function<void(const CampaignRunView &)> onRunDone;
 
     /** Optional heartbeat stream (harness/flight.h); not owned.  The
@@ -191,10 +195,18 @@ struct CampaignResult
 };
 
 /**
- * Run a full injection campaign: one clean census run (verifying no
- * pre-existing races) followed by `injections` single-removal runs,
- * each observed by a fresh Ideal detector plus fresh instances of
- * every spec.
+ * Run a full injection campaign: one clean census run (counting the
+ * removable instances) followed by `injections` single-removal runs,
+ * each observed by its own Ideal detector plus its own instances of
+ * every spec, and a clean run's Ideal verifying there are no
+ * pre-existing races.
+ *
+ * Two fan-outs give identical results (docs/INTERNALS.md §5).  With
+ * schedules == 1, no onRunDone and no recordTrace, the runs fork from
+ * one trunk run at their picked instances (harness/trunk.h); a child
+ * that dies fails the campaign with a std::runtime_error naming the
+ * injection.  Otherwise every run is simulated from the start on a
+ * thread pool.
  */
 CampaignResult runCampaign(const CampaignConfig &cfg,
                            const std::vector<DetectorSpec> &specs);

@@ -125,7 +125,9 @@ FlightRecorder::runFinished(unsigned runIndex, unsigned injection,
 }
 
 void
-FlightRecorder::campaignEnd(unsigned completedRuns, unsigned timedOutRuns)
+FlightRecorder::campaignEnd(unsigned completedRuns, unsigned timedOutRuns,
+                            double trunkSeconds, unsigned forks,
+                            double childPeakRssMb)
 {
     std::lock_guard<std::mutex> lk(mu_);
     JsonWriter w;
@@ -136,6 +138,9 @@ FlightRecorder::campaignEnd(unsigned completedRuns, unsigned timedOutRuns)
     w.field("completedRuns", completedRuns);
     w.field("timedOutRuns", timedOutRuns);
     w.field("droppedEvents", dropped_);
+    w.field("trunkSeconds", trunkSeconds);
+    w.field("forks", forks);
+    w.field("childPeakRssMb", childPeakRssMb);
     w.endObject();
     emit(w.str(), /*mandatory=*/true);
 }

@@ -11,16 +11,25 @@
  *
  * Event vocabulary:
  *   campaign_begin  workload, runs, injections, schedules, jobs
- *   run_started     flat run index (+ injection/schedule), worker
+ *   run_started     flat run index (+ injection/schedule)
  *   run_finished    completed/timedOut, wall seconds, ticks, races
- *   campaign_end    completed/timedOut totals, dropped-event count
+ *   campaign_end    completed/timedOut totals, dropped-event count,
+ *                   trunkSeconds, forks, childPeakRssMb
  *
- * Ordering: run_started events are emitted by worker threads as they
- * pick work up, so their order is wall-clock truth, not deterministic;
- * run_finished events are emitted by the in-order merge and therefore
- * appear in submission order.  The heartbeat is deliberately OUTSIDE
- * the determinism contract -- campaign manifests stay byte-identical
- * for any `--jobs N` whether or not a recorder is attached.
+ * Ordering depends on the campaign's fan-out (docs/INTERNALS.md §5).
+ * Fresh runs on the thread pool: run_started is written by a worker as
+ * it picks the run up (wall-clock order, not deterministic) and
+ * run_finished by the in-order merge (submission order).  Runs forked
+ * from the trunk (harness/trunk.h): run_started is written when the
+ * child is forked, in the order the trunk reaches the picked
+ * instances, and run_finished when the child is reaped; its
+ * wallSeconds covers only the child's suffix of the run, since the
+ * shared prefix ran once in the trunk (campaign_end's trunkSeconds).
+ * Injections that picked the same instance share one child and get
+ * one run_started/run_finished pair each.  The heartbeat is
+ * deliberately OUTSIDE the determinism contract -- campaign manifests
+ * stay byte-identical for any `--jobs N` whether or not a recorder is
+ * attached.
  *
  * Bounding: an optional byte budget stops the stream from growing
  * without limit on huge campaigns.  When the budget would be exceeded,
@@ -75,7 +84,11 @@ class FlightRecorder
                      double wallSeconds, std::uint64_t ticks,
                      std::uint64_t idealRaces);
 
-    void campaignEnd(unsigned completedRuns, unsigned timedOutRuns);
+    /** @p trunkSeconds, @p forks and @p childPeakRssMb describe the
+     *  forked fan-out (harness/trunk.h; all 0 for fresh runs). */
+    void campaignEnd(unsigned completedRuns, unsigned timedOutRuns,
+                     double trunkSeconds, unsigned forks,
+                     double childPeakRssMb);
 
     /** Events written so far (excluding dropped ones). */
     std::uint64_t written() const { return written_; }

@@ -1,0 +1,94 @@
+/**
+ * @file
+ * The forked fan-out of an injection campaign (docs/INTERNALS.md §5).
+ *
+ * A schedule-0 injection run is deterministic, so up to its removed
+ * sync instance it is exactly the fault-free run, detector state
+ * included.  runTrunk() therefore simulates the fault-free run once --
+ * the trunk -- with the campaign's detector set and the injection
+ * runs' watchdog, and fork()s at every picked instance.  The child
+ * removes the instance, runs to completion or the watchdog, writes a
+ * fixed-size RunRecord to a pipe and calls _exit; the parent keeps the
+ * instance and continues.  C++20 coroutine frames cannot be copied, so
+ * the process image is the snapshot.
+ *
+ * Child contract: a child never returns into the caller.  Everything
+ * it does after the fork ends in _exit -- status 0 after writing its
+ * full record, non-zero after an exception -- and it writes nothing
+ * but that record (stdio buffers are flushed before every fork, and
+ * _exit never flushes them again).
+ *
+ * Parent contract: at most `jobs` simulating processes at a time, the
+ * trunk included (at jobs 1 the trunk waits for each child before it
+ * continues).  The parent waits only on its own children, by polling
+ * their pipes and then calling waitpid on the child's pid.  A child that
+ * crashes, exits non-zero or sends a short record fails the whole
+ * campaign with a std::runtime_error that names the injection; no
+ * record of such a campaign is returned.
+ */
+
+#ifndef CORD_HARNESS_TRUNK_H
+#define CORD_HARNESS_TRUNK_H
+
+#include <cstdint>
+#include <memory>
+#include <vector>
+
+#include "harness/experiments.h"
+#include "inject/injector.h"
+
+namespace cord
+{
+
+/** One detector's verdict on one run. */
+struct RaceTally
+{
+    std::uint64_t pairs = 0;
+    bool problem = false;
+};
+
+/** What the campaign merge consumes from one injection run, whichever
+ *  fan-out simulated it. */
+struct RunRecord
+{
+    bool completed = false; //!< false = the watchdog fired
+    Tick ticks = 0;
+    std::uint64_t signature = 0; //!< RunOutcome::interleavingSignature
+    RaceTally ideal;
+    std::vector<RaceTally> dets; //!< parallel to the spec list
+    double wallSec = 0.0;        //!< host seconds (heartbeat only)
+};
+
+/** The record of a run that just ended. */
+RunRecord makeRunRecord(const RunOutcome &out, const Detector &ideal,
+                        const std::vector<std::unique_ptr<Detector>> &dets,
+                        double wallSec);
+
+/** Everything runTrunk() returns to the campaign. */
+struct TrunkResult
+{
+    std::vector<RunRecord> runs; //!< one per pick, in pick order
+    std::uint64_t cleanIdealRaces = 0; //!< the trunk's own Ideal
+    double trunkSeconds = 0.0; //!< trunk run, blocked waits excluded
+    unsigned forks = 0;        //!< children forked (distinct picks)
+    double childPeakRssMb = 0.0; //!< max ru_maxrss over the children
+};
+
+/**
+ * Simulate @p base (a clean run; filter and detectors are set here)
+ * once as the trunk, forking one child per distinct pick in @p picks.
+ * Injections that picked the same instance share one child and its
+ * record.  When @p flight is set, run_started is written as a child is
+ * forked and run_finished as it is reaped, once per injection.
+ *
+ * Requires a single-threaded caller: asserts that no harness
+ * ThreadPool is alive.
+ */
+TrunkResult runTrunk(const RunSetup &base,
+                     const std::vector<DetectorSpec> &specs,
+                     const std::vector<InjectionPick> &picks,
+                     unsigned jobs, FlightRecorder *flight);
+
+} // namespace cord
+
+#endif // CORD_HARNESS_TRUNK_H

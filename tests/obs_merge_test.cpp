@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -99,46 +100,71 @@ TEST(ObsMerge, CampaignManifestIdenticalAcrossJobCounts)
 
 TEST(ObsMerge, HeartbeatDoesNotPerturbCampaignManifest)
 {
-    CampaignConfig cfg = smallCampaign();
-    cfg.jobs = 4;
-    const std::string without = campaignManifestJson(cfg);
+    // Both fan-outs (docs/INTERNALS.md §5): forked from one trunk, and
+    // fresh runs on the pool (a per-run hook selects it).
+    for (const bool fresh : {false, true}) {
+        SCOPED_TRACE(fresh ? "fresh runs" : "forked runs");
+        CampaignConfig cfg = smallCampaign();
+        cfg.jobs = 4;
+        if (fresh)
+            cfg.onRunDone = [](const CampaignRunView &) {};
+        const std::string without = campaignManifestJson(cfg);
 
-    const std::string hb = testing::TempDir() + "obs_merge_hb.jsonl";
-    std::remove(hb.c_str());
-    {
-        FlightRecorder flight(hb);
-        cfg.flight = &flight;
-        const std::string with = campaignManifestJson(cfg);
-        EXPECT_EQ(without, with);
-        EXPECT_EQ(flight.dropped(), 0u);
-    }
-
-    // The stream itself: begin + one started/finished pair per run +
-    // end, schema-stamped first line, strictly increasing seq.
-    const auto lines = parseLines(slurp(hb));
-    ASSERT_EQ(lines.size(), 2u + 2u * cfg.injections);
-    EXPECT_EQ(lines.front().str("schema"), kHeartbeatSchema);
-    EXPECT_EQ(lines.front().str("event"), "campaign_begin");
-    EXPECT_EQ(lines.front().num("runs"), cfg.injections);
-    EXPECT_EQ(lines.front().num("jobs"), 4);
-    EXPECT_EQ(lines.back().str("event"), "campaign_end");
-    unsigned started = 0, finished = 0;
-    for (std::size_t i = 0; i < lines.size(); ++i) {
-        EXPECT_EQ(lines[i].num("seq"), static_cast<double>(i));
-        const std::string ev = lines[i].str("event");
-        started += ev == "run_started";
-        finished += ev == "run_finished";
-    }
-    EXPECT_EQ(started, cfg.injections);
-    EXPECT_EQ(finished, cfg.injections);
-    // run_finished events arrive in merge order: run index increasing.
-    double lastRun = -1;
-    for (const JsonValue &l : lines)
-        if (l.str("event") == "run_finished") {
-            EXPECT_GT(l.num("run"), lastRun);
-            lastRun = l.num("run");
+        const std::string hb = testing::TempDir() + "obs_merge_hb.jsonl";
+        std::remove(hb.c_str());
+        {
+            FlightRecorder flight(hb);
+            cfg.flight = &flight;
+            const std::string with = campaignManifestJson(cfg);
+            EXPECT_EQ(without, with);
+            EXPECT_EQ(flight.dropped(), 0u);
         }
-    std::remove(hb.c_str());
+
+        // The stream itself: begin + one started/finished pair per run
+        // + end, schema-stamped first line, strictly increasing seq.
+        const auto lines = parseLines(slurp(hb));
+        ASSERT_EQ(lines.size(), 2u + 2u * cfg.injections);
+        EXPECT_EQ(lines.front().str("schema"), kHeartbeatSchema);
+        EXPECT_EQ(lines.front().str("event"), "campaign_begin");
+        EXPECT_EQ(lines.front().num("runs"), cfg.injections);
+        EXPECT_EQ(lines.front().num("jobs"), 4);
+        EXPECT_EQ(lines.back().str("event"), "campaign_end");
+        unsigned started = 0, finished = 0;
+        for (std::size_t i = 0; i < lines.size(); ++i) {
+            EXPECT_EQ(lines[i].num("seq"), static_cast<double>(i));
+            const std::string ev = lines[i].str("event");
+            started += ev == "run_started";
+            finished += ev == "run_finished";
+        }
+        EXPECT_EQ(started, cfg.injections);
+        EXPECT_EQ(finished, cfg.injections);
+        // Fresh runs finish in merge order, run index increasing;
+        // forked runs finish as their children are reaped, each run
+        // once and after its own run_started.
+        double lastRun = -1;
+        std::set<double> open, done;
+        for (const JsonValue &l : lines) {
+            const std::string ev = l.str("event");
+            if (ev == "run_started")
+                open.insert(l.num("run"));
+            if (ev != "run_finished")
+                continue;
+            if (fresh) {
+                EXPECT_GT(l.num("run"), lastRun);
+            }
+            lastRun = l.num("run");
+            EXPECT_EQ(open.erase(lastRun), 1u) << "run " << lastRun;
+            EXPECT_TRUE(done.insert(lastRun).second) << "run " << lastRun;
+        }
+        const double forks = lines.back().num("forks");
+        if (fresh) {
+            EXPECT_EQ(forks, 0.0);
+        } else {
+            EXPECT_GE(forks, 1.0);
+            EXPECT_LE(forks, cfg.injections);
+        }
+        std::remove(hb.c_str());
+    }
 }
 
 TEST(ObsMerge, FlightRecorderByteBudgetDropsButKeepsEndpoints)
@@ -153,7 +179,7 @@ TEST(ObsMerge, FlightRecorderByteBudgetDropsButKeepsEndpoints)
             flight.runStarted(i, i, 0);
             flight.runFinished(i, i, 0, true, false, 0.5, 1000, 0);
         }
-        flight.campaignEnd(4, 0);
+        flight.campaignEnd(4, 0, 0.0, 0, 0.0);
         EXPECT_GT(flight.dropped(), 0u);
     }
     const auto lines = parseLines(slurp(hb));

@@ -7,7 +7,7 @@
  * log statistics, memory-system behaviour and (optionally) a replay
  * verification pass.  With --campaign N it instead runs a full
  * injection campaign (N uniform sync removals, as the bench_fig*
- * binaries do), optionally spread over --jobs worker threads with
+ * binaries do), optionally spread over --jobs parallel jobs with
  * bit-identical results for any job count.  With --explore N it runs
  * the same configuration under N schedules (schedule 0 = baseline;
  * docs/SCHEDULING.md), and --replay-sched re-executes a schedule
@@ -58,7 +58,7 @@ struct Options
     std::uint64_t seed = 1;
     std::uint32_t d = 16;
     unsigned campaign = 0; //!< >0 = campaign mode with N injections
-    unsigned jobs = 1;     //!< campaign/exploration worker threads
+    unsigned jobs = 1;     //!< campaign/exploration parallel jobs
     bool haveInjection = false;
     InjectionPick pick;
     bool knownRaces = false;
@@ -135,7 +135,7 @@ usage(std::FILE *to, const char *argv0)
         "                      run writes PREFIX.iNNN.sNNN.trace / "
         ".ordlog (cordlint\n"
         "                      check/predict inputs)\n"
-        "  --jobs N            worker threads (default CORD_JOBS or "
+        "  --jobs N            parallel jobs (default CORD_JOBS or "
         "1; 0 = one per\n"
         "                      hardware thread); any value is "
         "bit-identical\n"
@@ -417,8 +417,8 @@ makeSpec(const Options &opt)
 /**
  * --campaign mode: a full injection campaign of the selected workload
  * (the same experiment the bench_fig* binaries run per app), spread
- * over --jobs workers.  With --explore M every injection is run under
- * M schedules.  With --lint every completed run's artifacts are
+ * over --jobs parallel jobs.  With --explore M every injection is run
+ * under M schedules.  With --lint every completed run's artifacts are
  * checked; exit 1 on any finding.
  */
 int
@@ -512,7 +512,7 @@ runCampaignMode(const Options &opt)
             .count();
 
     std::printf("campaign      : %s, %u injections x %u schedule(s) on "
-                "%u worker thread(s), seed %llu\n",
+                "%u job(s), seed %llu\n",
                 opt.workload.c_str(), res.injections, res.schedules,
                 opt.jobs,
                 static_cast<unsigned long long>(opt.seed));

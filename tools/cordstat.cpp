@@ -555,6 +555,7 @@ struct WatchState
     double runs = 0, jobs = 0, schedules = 0;
     double started = 0, finished = 0, timedOut = 0;
     double droppedEvents = 0;
+    double trunkSeconds = 0, forks = 0, childPeakRssMb = 0;
     bool haveEnd = false;
     double lastT = 0;
     double wallMin = 0, wallMax = 0, wallSum = 0;
@@ -628,6 +629,9 @@ cmdWatch(const std::string &path, bool summaryOnly)
         } else if (event == "campaign_end") {
             st.haveEnd = true;
             st.droppedEvents = v->num("droppedEvents");
+            st.trunkSeconds = v->num("trunkSeconds");
+            st.forks = v->num("forks");
+            st.childPeakRssMb = v->num("childPeakRssMb");
         } else {
             std::fprintf(stderr, "watch: line %u: unknown event '%s'\n",
                          lines, event.c_str());
@@ -655,6 +659,13 @@ cmdWatch(const std::string &path, bool summaryOnly)
     if (st.finished > 0)
         std::printf("run wall  : min %.3fs / mean %.3fs / max %.3fs\n",
                     st.wallMin, st.wallSum / st.finished, st.wallMax);
+    // Forked fan-out (harness/trunk.h): run wall above is each
+    // child's suffix; the shared prefix ran once, in the trunk.
+    if (st.forks > 0)
+        std::printf("trunk     : %.3fs simulating, %s fork(s), child "
+                    "peak RSS %.1f MiB\n",
+                    st.trunkSeconds, fmtNum(st.forks).c_str(),
+                    st.childPeakRssMb);
     // Stragglers: started but unfinished runs, oldest first -- on a
     // finished stream these are runs that died without a record.
     for (const auto &[run, t0] : st.inFlight)
