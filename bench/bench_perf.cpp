@@ -6,8 +6,9 @@
  * every application x {CORD, Ideal, VC-InfCache} detector.
  *
  * Unlike the figure reproductions, the numbers here are about *host*
- * cost, not simulated time; `cordstat bench-history` records them as
- * the perf trajectory (docs/PERFORMANCE.md).
+ * cost, not simulated time.  They are unpaired single-host numbers;
+ * perf changes are judged by campbench's paired runs
+ * (docs/PERFORMANCE.md §3).
  *
  * Each cell is the median of `--repeat` timed repetitions (after
  * `--warmup` untimed ones); every repetition constructs a fresh
@@ -193,7 +194,6 @@ main(int argc, char **argv)
     }
 
     // Aggregates: total events retired over total measured seconds.
-    // `perf.total.eventsPerSec` is bench-history's default metric.
     const double totalEps =
         totalSec > 0.0 ? static_cast<double>(totalEvents) / totalSec
                        : 0.0;

@@ -30,9 +30,8 @@
  * independent of N (paper Section 2.2).
  *
  * Writes a `BENCH_scaling.json` run manifest (override with
- * --perf-out); CI's scaling smoke job records it into the
- * perf-trajectory db via `cordstat bench-history record` and gates on
- * it with `cordstat bench-history check`.
+ * --perf-out); CI's scaling smoke job runs it twice and requires the
+ * two manifests to `cordstat diff` clean.
  *
  * Extra environment knob:
  *   CORD_CORES   comma-separated core counts (default 4,8,16,32,64)

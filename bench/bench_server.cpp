@@ -21,9 +21,8 @@
  *    vector-clock L2Cache baseline vs Ideal) at that load.
  *
  * Writes a `BENCH_server.json` run manifest (override with
- * --perf-out); CI's server smoke job records it into the
- * perf-trajectory db via `cordstat bench-history record` and gates on
- * it with `cordstat bench-history check`.
+ * --perf-out); CI's server smoke job runs it twice and requires the
+ * two manifests to `cordstat diff` clean.
  *
  * Environment knobs (beyond bench_common's):
  *   CORD_LOAD    comma-separated load percentages (default 50,100,200)

@@ -11,11 +11,6 @@
  * the binary writes a `BENCH_table1.json` run manifest (schema:
  * docs/OBSERVABILITY.md) with the table and per-app metrics embedded,
  * for CI artifact upload and `cordstat` consumption.
- *
- * CORD_PROFILE=1 runs every application under an active profiler
- * (obs/profiler.h), adding per-domain "profile.*" cycle/call metrics
- * to each app's manifest section -- the configuration used to measure
- * the profiler's own enabled overhead (docs/OBSERVABILITY.md).
  */
 
 #include <cstdio>
@@ -24,7 +19,6 @@
 #include "bench_common.h"
 #include "harness/runner.h"
 #include "obs/manifest.h"
-#include "obs/profiler.h"
 
 using namespace cord;
 
@@ -44,8 +38,6 @@ main(int argc, char **argv)
     manifest.setConfig("scale",
                        std::uint64_t(bench::envUnsigned("CORD_SCALE", 2)));
     manifest.setConfig("threads", std::uint64_t(kDefaultNumThreads));
-    if (bench::envUnsigned("CORD_PROFILE", 0))
-        manifest.setConfig("profile", "1");
     manifest.stampTime();
 
     TextTable t({"App", "Paper input", "Our input (analog)",
@@ -59,11 +51,6 @@ main(int argc, char **argv)
             setup.params.numThreads = 4;
             setup.params.scale = bench::envUnsigned("CORD_SCALE", 2);
             setup.params.seed = 7;
-            if (bench::envUnsigned("CORD_PROFILE", 0)) {
-                Profiler prof;
-                ProfilerScope ps(prof);
-                return runWorkload(setup);
-            }
             return runWorkload(setup);
         },
         [&](std::size_t i, RunOutcome &&out) {

@@ -4,7 +4,6 @@
 #include <sstream>
 
 #include "analysis/epoch_analyzer.h"
-#include "obs/profiler.h"
 
 namespace cord
 {
@@ -12,7 +11,6 @@ namespace cord
 LintReport
 runLint(const LintInput &in)
 {
-    ProfWallTimer pt(ProfDomain::Analysis, /*always=*/true);
     LintReport report;
 
     LogCheckOptions opt;

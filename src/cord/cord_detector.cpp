@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 
-#include "obs/profiler.h"
 #include "obs/tracer.h"
 #include "sim/logging.h"
 
@@ -205,7 +204,6 @@ CordDetector::snoop(CoreId core, Addr addr, bool isWrite, Ts64 clock,
 void
 CordDetector::invalidateRemote(CoreId core, Addr addr, Tick now)
 {
-    ProfWallTimer pt(ProfDomain::CordTimestamp);
     const auto dropAt = [&](CoreId oc) {
         const bool dropped = caches_[oc].invalidate(
             addr, [&](Addr, LineState &st) {
@@ -242,7 +240,6 @@ CordDetector::timestampLocal(CoreId core, Addr addr, bool isWrite,
                              Ts64 clock, const SnoopResult *snoopRes,
                              Tick now)
 {
-    ProfWallTimer pt(ProfDomain::CordTimestamp);
     const std::uint16_t wbit =
         static_cast<std::uint16_t>(1u << wordInLine(addr));
     LineState &ls = caches_[core].getOrInsert(
@@ -313,7 +310,6 @@ CordDetector::commitClockChange(OrderLogWriter &wr, Ts64 newClock,
                                 std::uint64_t instrBoundary,
                                 const MemEvent &ev)
 {
-    ProfWallTimer pt(ProfDomain::CordLog);
     const Ts64 old = wr.clock();
     const std::size_t entriesBefore = log_.size();
     wr.changeClock(newClock, instrBoundary);
@@ -346,7 +342,6 @@ CordDetector::minActiveClock() const
 void
 CordDetector::runWalker(Tick now)
 {
-    ProfWallTimer pt(ProfDomain::CordHistory, /*always=*/true);
     const Ts64 minClk = minActiveClock();
     if (minClk == 0)
         return;
@@ -427,10 +422,7 @@ CordDetector::onAccess(const MemEvent &ev)
     SnoopResult sr;
     bool memServed = false;
     if (needCheck) {
-        {
-            ProfWallTimer pt(ProfDomain::CordCheck);
-            snoop(ev.core, ev.addr, isW, clock, sr);
-        }
+        snoop(ev.core, ev.addr, isW, clock, sr);
         raceChecks_.inc();
         if (EventTracer *t = EventTracer::active())
             t->emit(TraceEventKind::HistoryLookup, ev.tick,

@@ -6,6 +6,7 @@
 
 #include "cord/clock.h"
 #include "sim/logging.h"
+#include "sim/read_file.h"
 
 namespace cord
 {
@@ -193,18 +194,10 @@ saveOrderLog(const OrderLog &log, const std::string &path)
 std::vector<std::uint8_t>
 loadLogBytes(const std::string &path)
 {
-    std::FILE *f = std::fopen(path.c_str(), "rb");
-    if (!f)
-        cord_fatal("cannot open '", path, "' for reading");
-    std::fseek(f, 0, SEEK_END);
-    const long size = std::ftell(f);
-    std::fseek(f, 0, SEEK_SET);
-    std::vector<std::uint8_t> bytes(static_cast<std::size_t>(size));
-    const std::size_t read =
-        bytes.empty() ? 0 : std::fread(bytes.data(), 1, bytes.size(), f);
-    std::fclose(f);
-    if (read != bytes.size())
-        cord_fatal("short read from '", path, "'");
+    std::vector<std::uint8_t> bytes;
+    std::string err;
+    if (!readFileBytes(path, bytes, err))
+        cord_fatal(err);
     return bytes;
 }
 

@@ -1,6 +1,5 @@
 #include "cord/vc_detector.h"
 
-#include "obs/profiler.h"
 #include "sim/logging.h"
 
 namespace cord
@@ -109,7 +108,6 @@ VcDetector::timestampLocal(CoreId core, Addr addr, bool isWrite,
 void
 VcDetector::onAccess(const MemEvent &ev)
 {
-    ProfWallTimer pt(ProfDomain::VcBaseline);
     cord_assert(ev.tid < cfg_.numThreads, "unknown thread ", ev.tid);
     cord_assert(ev.core < cfg_.numCores, "unknown core ", ev.core);
 

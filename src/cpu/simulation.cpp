@@ -312,13 +312,9 @@ Simulation::issueMemOp(Thread &t)
         // a later-issued read commit before an earlier-issued write.
         completion = events_.now() + 1;
     } else {
-        {
-            ProfWallTimer pt(ProfDomain::MemService);
-            completion =
-                mem_.access(t.core, op.addr, writeForTiming,
-                            events_.now())
-                    .completion;
-        }
+        completion =
+            mem_.access(t.core, op.addr, writeForTiming, events_.now())
+                .completion;
         if (Profiler *p = Profiler::active())
             p->addCycles(ProfDomain::MemService,
                          completion - events_.now());
@@ -468,15 +464,6 @@ Simulation::run(Tick maxTicks)
         if (!cores_[c].threads.empty())
             scheduleCore(static_cast<CoreId>(c));
     }
-    // Kernel-dispatch wall attribution: one timed block around the
-    // whole dispatch loop (exact, two clock reads total) instead of a
-    // per-step sampled timer -- per-event instrumentation is the one
-    // place where even a sampled hook costs whole percents.  The step
-    // count is the executedEvents() delta, which includes the core
-    // steps run in place (wakeCore).
-    Profiler *const prof = Profiler::active();
-    const auto dispatchStart = std::chrono::steady_clock::now();
-    const std::uint64_t eventsBefore = events_.executedEvents();
     bool completed = true;
     while (!allFinished()) {
         if (events_.empty())
@@ -491,14 +478,6 @@ Simulation::run(Tick maxTicks)
     flushDetectors(); // a watchdog stop can leave a partial batch
     if (timingCord_)
         timingCord_->setTrafficSink(nullptr);
-    if (prof && completed)
-        prof->addWallBlock(
-            ProfDomain::KernelDispatch,
-            static_cast<std::uint64_t>(
-                std::chrono::duration_cast<std::chrono::nanoseconds>(
-                    std::chrono::steady_clock::now() - dispatchStart)
-                    .count()),
-            events_.executedEvents() - eventsBefore);
     return completed;
 }
 

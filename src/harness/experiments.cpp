@@ -397,11 +397,8 @@ runProfile(const std::string &workload, const WorkloadParams &params,
     ProfileReport r;
     r.workload = workload;
 
-    // Ideal baseline: no detection hardware, profiler active so the
-    // simulator-side domains (kernel/bus/memory) have a reference.
-    Profiler baseProf;
+    // Ideal baseline: no detection hardware.
     {
-        ProfilerScope ps(baseProf);
         RunSetup base;
         base.workload = workload;
         base.params = params;
@@ -442,24 +439,6 @@ runProfile(const std::string &workload, const WorkloadParams &params,
     r.overheadTicks =
         r.cordTicks > r.baselineTicks ? r.cordTicks - r.baselineTicks : 0;
 
-    // VC software-cost comparison: a functional (untimed) VC-L2 run;
-    // only its host wall cost is interesting.
-    Profiler vcProf;
-    {
-        ProfilerScope ps(vcProf);
-        VcConfig vcfg = VcConfig::forMachine(machine, params.numThreads);
-        vcfg.infiniteResidency = false;
-        vcfg.residency = CacheGeometry::paperL2();
-        VcDetector vc(vcfg, "VC-L2Cache");
-        RunSetup run;
-        run.workload = workload;
-        run.params = params;
-        run.machine = machine;
-        run.detectors.push_back(&vc);
-        const RunOutcome out = runWorkload(run);
-        cord_assert(out.completed, "VC profile run did not complete");
-    }
-
     // Attributed bus cycles per mechanism.  The order log is written
     // back to memory asynchronously by the log writer (paper
     // Section 2.7.1) and deliberately not injected into the simulated
@@ -491,22 +470,6 @@ runProfile(const std::string &workload, const WorkloadParams &params,
         m.overheadTicks =
             m.share * static_cast<double>(r.overheadTicks);
     }
-
-    // Host wall-time estimates (volatile).
-    for (unsigned k = 0; k < kProfDomains; ++k) {
-        const ProfDomain d = static_cast<ProfDomain>(k);
-        if (cordProf.wallSamples(d))
-            r.hostWallSec[std::string("cord.") + profDomainName(d)] =
-                static_cast<double>(cordProf.wallEstimateNs(d)) * 1e-9;
-        if (baseProf.wallSamples(d))
-            r.hostWallSec[std::string("ideal.") + profDomainName(d)] =
-                static_cast<double>(baseProf.wallEstimateNs(d)) * 1e-9;
-    }
-    if (vcProf.wallSamples(ProfDomain::VcBaseline))
-        r.hostWallSec["vc.vc_baseline"] =
-            static_cast<double>(
-                vcProf.wallEstimateNs(ProfDomain::VcBaseline)) *
-            1e-9;
     return r;
 }
 
@@ -530,8 +493,6 @@ addProfileMetrics(RunManifest &m, const ProfileReport &r)
               static_cast<std::uint64_t>(mech.overheadTicks + 0.5));
     }
     m.metrics.add("profile." + r.workload, s);
-    for (const auto &[k, v] : r.hostWallSec)
-        m.hostProfile[r.workload + "." + k] = v;
 }
 
 } // namespace cord

@@ -280,13 +280,6 @@ struct ProfileReport
 
     std::uint64_t logWireBytes = 0; //!< order-log size behind "log"
 
-    /** Host wall-second estimates per profiler domain for the CORD
-     *  run ("cord.<domain>") plus the vector-clock baseline detector
-     *  cost from a third run ("vc.vc_baseline") -- the CORD-vs-VC
-     *  software-cost comparison.  Host-dependent: exported only into
-     *  the volatile manifest section. */
-    std::map<std::string, double> hostWallSec;
-
     double relative() const
     {
         return baselineTicks ? static_cast<double>(cordTicks) /
@@ -296,10 +289,9 @@ struct ProfileReport
 };
 
 /**
- * Profile one workload: an Ideal baseline run, a CORD run under an
- * active Profiler (exact per-mechanism cycle attribution + sampled
- * wall time), and a VC-L2 run for the software-cost comparison.
- * Deterministic for a fixed configuration except hostWallSec.
+ * Profile one workload: an Ideal baseline run and a CORD run under an
+ * active Profiler (exact per-mechanism cycle attribution).
+ * Deterministic for a fixed configuration.
  */
 ProfileReport runProfile(const std::string &workload,
                          const WorkloadParams &params,
@@ -309,8 +301,8 @@ ProfileReport runProfile(const std::string &workload,
 /**
  * Record @p r into @p m: deterministic "profile.<workload>.*" metrics
  * (mechanism cycles/events, prorated overhead ticks, shares in parts
- * per million) and the volatile hostProfile section.  `cordstat
- * profile` renders manifests carrying these metrics.
+ * per million).  `cordstat profile` renders manifests carrying these
+ * metrics.
  */
 void addProfileMetrics(RunManifest &m, const ProfileReport &r);
 

@@ -4,6 +4,7 @@
 #include <cstring>
 
 #include "sim/logging.h"
+#include "sim/read_file.h"
 
 namespace cord
 {
@@ -27,6 +28,11 @@ struct WireEvent
     std::uint8_t pad[3];
 };
 static_assert(sizeof(WireEvent) == 40, "unexpected trace record size");
+
+/** magic, version, event count, thread-end count. */
+constexpr std::size_t kHeaderBytes = 4 + 4 + 8 + 8;
+/** One thread-end record: tid (u16) + instruction count (u64). */
+constexpr std::size_t kThreadEndBytes = 2 + 8;
 
 template <typename T>
 void
@@ -79,6 +85,9 @@ encodeTrace(const TraceRecorder &trace)
 DecodedTrace
 decodeTrace(const std::vector<std::uint8_t> &bytes)
 {
+    if (bytes.size() < kHeaderBytes)
+        cord_fatal("truncated trace: ", bytes.size(),
+                   " byte(s), the header alone is ", kHeaderBytes);
     std::size_t off = 0;
     const auto magic = getRaw<std::uint32_t>(bytes, off);
     const auto version = getRaw<std::uint32_t>(bytes, off);
@@ -88,6 +97,20 @@ decodeTrace(const std::vector<std::uint8_t> &bytes)
         cord_fatal("unsupported trace version ", version);
     const auto nEvents = getRaw<std::uint64_t>(bytes, off);
     const auto nEnds = getRaw<std::uint64_t>(bytes, off);
+    // The counts must account for every byte after the header exactly;
+    // divide rather than multiply so a huge count cannot overflow.
+    const std::uint64_t payload = bytes.size() - kHeaderBytes;
+    if (nEvents > payload / sizeof(WireEvent))
+        cord_fatal("truncated trace: header claims ", nEvents,
+                   " events, but only ", payload, " bytes follow it");
+    const std::uint64_t endBytes = payload - nEvents * sizeof(WireEvent);
+    if (nEnds > endBytes / kThreadEndBytes)
+        cord_fatal("truncated trace: header claims ", nEnds,
+                   " thread ends, but only ", endBytes,
+                   " bytes follow the events");
+    if (endBytes != nEnds * kThreadEndBytes)
+        cord_fatal("corrupt trace: ", endBytes - nEnds * kThreadEndBytes,
+                   " trailing byte(s) after the last record");
 
     DecodedTrace out;
     out.events.reserve(nEvents);
@@ -131,17 +154,10 @@ saveTrace(const TraceRecorder &trace, const std::string &path)
 DecodedTrace
 loadTrace(const std::string &path)
 {
-    std::FILE *f = std::fopen(path.c_str(), "rb");
-    if (!f)
-        cord_fatal("cannot open '", path, "' for reading");
-    std::fseek(f, 0, SEEK_END);
-    const long size = std::ftell(f);
-    std::fseek(f, 0, SEEK_SET);
-    std::vector<std::uint8_t> bytes(static_cast<std::size_t>(size));
-    const std::size_t read = std::fread(bytes.data(), 1, bytes.size(), f);
-    std::fclose(f);
-    if (read != bytes.size())
-        cord_fatal("short read from '", path, "'");
+    std::vector<std::uint8_t> bytes;
+    std::string err;
+    if (!readFileBytes(path, bytes, err))
+        cord_fatal(err);
     return decodeTrace(bytes);
 }
 

@@ -65,13 +65,6 @@ RunManifest::renderJson(bool includeVolatile) const
         if (!timestamp.empty())
             w.field("timestamp", timestamp);
         w.field("wallSeconds", wallSeconds);
-        if (!hostProfile.empty()) {
-            w.key("hostProfile");
-            w.beginObject();
-            for (const auto &[k, v] : hostProfile)
-                w.field(k, v);
-            w.endObject();
-        }
     }
     w.field("completed", completed);
     w.field("simTicks", simTicks);

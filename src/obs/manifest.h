@@ -72,12 +72,6 @@ struct RunManifest
     double wallSeconds = 0.0;
     std::string timestamp; //!< ISO-8601 UTC, set by stampTime()
 
-    /** Host wall-time profile (seconds per attribution domain, from
-     *  obs/profiler.h).  Host-dependent by nature, so rendered only
-     *  under includeVolatile; the deterministic cycle attribution
-     *  lives in the "profile.*" metrics instead. */
-    std::map<std::string, double> hostProfile;
-
     MetricHub metrics;
     std::vector<Table> tables;
 

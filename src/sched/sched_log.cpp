@@ -4,6 +4,7 @@
 
 #include "cord/log_codec.h"
 #include "sim/logging.h"
+#include "sim/read_file.h"
 
 namespace cord
 {
@@ -99,19 +100,10 @@ bool
 loadScheduleLog(const std::string &path, ScheduleLog &out,
                 std::string *err)
 {
-    std::FILE *f = std::fopen(path.c_str(), "rb");
-    if (!f)
-        return fail(err, "cannot open '" + path + "' for reading");
-    std::fseek(f, 0, SEEK_END);
-    const long size = std::ftell(f);
-    std::fseek(f, 0, SEEK_SET);
-    std::vector<std::uint8_t> bytes(
-        size > 0 ? static_cast<std::size_t>(size) : 0);
-    const std::size_t read =
-        bytes.empty() ? 0 : std::fread(bytes.data(), 1, bytes.size(), f);
-    std::fclose(f);
-    if (read != bytes.size())
-        return fail(err, "short read from '" + path + "'");
+    std::vector<std::uint8_t> bytes;
+    std::string readErr;
+    if (!readFileBytes(path, bytes, readErr))
+        return fail(err, readErr);
     return decodeScheduleLog(bytes, out, err);
 }
 

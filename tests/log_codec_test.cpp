@@ -237,5 +237,11 @@ TEST(LogCodec, SaveAndLoadEmptyLog)
     std::remove(path.c_str());
 }
 
+TEST(LogCodec, LoadDirectoryIsFatal)
+{
+    EXPECT_EXIT(loadLogBytes(::testing::TempDir()),
+                ::testing::ExitedWithCode(1), "cannot read");
+}
+
 } // namespace
 } // namespace cord

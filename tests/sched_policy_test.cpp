@@ -134,6 +134,14 @@ TEST(ScheduleLogCodec, LoadMissingFileFails)
     EXPECT_FALSE(err.empty());
 }
 
+TEST(ScheduleLogCodec, LoadDirectoryFails)
+{
+    ScheduleLog out;
+    std::string err;
+    EXPECT_FALSE(loadScheduleLog(testing::TempDir(), out, &err));
+    EXPECT_NE(err.find("cannot read"), std::string::npos) << err;
+}
+
 TEST(SchedReplay, ExactConsumptionHasZeroDivergence)
 {
     ScheduleLog log;

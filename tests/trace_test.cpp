@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 
 #include "cord/cord_detector.h"
 #include "cord/ideal_detector.h"
@@ -54,9 +55,42 @@ TEST(Trace, EncodeDecodeRoundTrip)
 
 TEST(Trace, CorruptBufferIsFatal)
 {
-    std::vector<std::uint8_t> junk(24, 0xab);
-    EXPECT_EXIT(decodeTrace(junk), ::testing::ExitedWithCode(1),
-                "bad magic");
+    // A valid one-event trace with no thread ends: 24-byte header plus
+    // one 40-byte record.
+    TraceRecorder rec;
+    rec.onAccess(MemEvent{});
+    const std::vector<std::uint8_t> good = encodeTrace(rec);
+    ASSERT_EQ(good.size(), 64u);
+
+    std::vector<std::uint8_t> hugeCount(good.begin(), good.begin() + 24);
+    const std::uint64_t claimed = std::uint64_t{1} << 60;
+    std::memcpy(hugeCount.data() + 8, &claimed, sizeof claimed);
+    std::vector<std::uint8_t> trailing = good;
+    trailing.push_back(0);
+
+    const struct
+    {
+        const char *name;
+        std::vector<std::uint8_t> bytes;
+        const char *message;
+    } cases[] = {
+        {"bad magic", std::vector<std::uint8_t>(24, 0xab), "bad magic"},
+        {"huge count", hugeCount, "claims 1152921504606846976 events"},
+        {"truncated record",
+         std::vector<std::uint8_t>(good.begin(), good.end() - 1),
+         "truncated trace"},
+        {"2-byte file", std::vector<std::uint8_t>(good.begin(),
+                                                  good.begin() + 2),
+         "truncated trace"},
+        {"one trailing byte", trailing, "1 trailing byte"},
+    };
+    for (const auto &c : cases) {
+        SCOPED_TRACE(c.name);
+        EXPECT_EXIT(decodeTrace(c.bytes), ::testing::ExitedWithCode(1),
+                    c.message);
+    }
+    EXPECT_EXIT(loadTrace(::testing::TempDir()),
+                ::testing::ExitedWithCode(1), "cannot read");
 }
 
 TEST(Trace, OfflineDetectionMatchesOnline)

@@ -115,8 +115,8 @@ usage(std::FILE *to, const char *argv0)
         "  --save-log FILE     dump the wire-format order log\n"
         "  --lint              run the cordlint checks; exit 1 on "
         "findings\n"
-        "  --profile           overhead-attribution mode: run Ideal, "
-        "CORD and VC-L2\n"
+        "  --profile           overhead-attribution mode: run Ideal "
+        "and CORD\n"
         "                      back to back and report the "
         "per-mechanism overhead\n"
         "                      decomposition (render a saved manifest "
@@ -756,7 +756,7 @@ runReplaySchedMode(const Options &opt)
 
 /**
  * --profile mode: overhead-attribution run (harness/experiments.h).
- * Runs Ideal, CORD and VC-L2 back to back and prints where CORD's
+ * Runs Ideal and CORD back to back and prints where CORD's
  * slowdown comes from, by mechanism; the decomposition sums to the
  * measured overhead by construction.
  */
@@ -813,8 +813,6 @@ runProfileMode(const Options &opt)
                 static_cast<unsigned long long>(rep.overheadTicks));
     std::printf("order log     : %llu wire bytes behind \"log\"\n",
                 static_cast<unsigned long long>(rep.logWireBytes));
-    for (const auto &[k, sec] : rep.hostWallSec)
-        std::printf("host wall     : %-24s %.6f s\n", k.c_str(), sec);
 
     if (!opt.manifestPath.empty()) {
         RunManifest m;

@@ -18,14 +18,6 @@
  *   watch HB.jsonl          tail/summarize a `cordsim --heartbeat`
  *                           stream: progress, stragglers, timeouts
  *                           (--summary prints the summary only)
- *   bench-history record B.json   append a bench manifest to the
- *                           perf-trajectory db (--db, default
- *                           BENCH_history.jsonl)
- *   bench-history show      render the db with per-entry deltas
- *   bench-history check B.json    compare a bench manifest against the
- *                           db's last entry for the same bench; exit 1
- *                           when --metric fell below --min-ratio times
- *                           the baseline (default 0.9)
  *
  * --jobs N parses and flattens manifests on N worker threads (show and
  * agg over large campaign directories); output order and aggregates
@@ -52,6 +44,7 @@
 #include "obs/manifest.h"
 #include "obs/metrics.h"
 #include "sim/parse_num.h"
+#include "sim/read_file.h"
 
 using namespace cord;
 
@@ -68,11 +61,7 @@ usage()
         "       cordstat agg [--jobs N] M.json...\n"
         "       cordstat check-trace T.json\n"
         "       cordstat profile M.json...\n"
-        "       cordstat watch [--summary] HB.jsonl\n"
-        "       cordstat bench-history record [--db F] B.json\n"
-        "       cordstat bench-history show [--db F] [--metric M]\n"
-        "       cordstat bench-history check [--db F] [--metric M]\n"
-        "           [--min-ratio R] B.json\n");
+        "       cordstat watch [--summary] HB.jsonl\n");
     std::exit(2);
 }
 
@@ -87,7 +76,7 @@ badValue(const std::string &msg)
 }
 
 /**
- * Strictly parse a non-negative decimal (--tol, --min-ratio): digits
+ * Strictly parse a non-negative decimal (--tol): digits
  * with an optional fraction and exponent, nothing else -- no sign,
  * whitespace, hex, inf or nan.
  */
@@ -109,17 +98,13 @@ parseReal(const std::string &flag, const char *s)
 bool
 readFile(const std::string &path, std::string &out)
 {
-    std::FILE *f = std::fopen(path.c_str(), "rb");
-    if (!f) {
-        std::fprintf(stderr, "cordstat: cannot open %s\n", path.c_str());
+    std::vector<std::uint8_t> bytes;
+    std::string err;
+    if (!readFileBytes(path, bytes, err)) {
+        std::fprintf(stderr, "cordstat: %s\n", err.c_str());
         return false;
     }
-    char buf[65536];
-    std::size_t n;
-    out.clear();
-    while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0)
-        out.append(buf, n);
-    std::fclose(f);
+    out.assign(bytes.begin(), bytes.end());
     return true;
 }
 
@@ -535,14 +520,6 @@ cmdProfile(const std::vector<std::string> &paths)
                 ++errors;
             ++rendered;
         }
-
-        // Host wall-clock costs ride in the volatile section and only
-        // exist when the manifest was saved with it included.
-        if (const JsonValue *hp = m.find("hostProfile"))
-            for (std::size_t i = 0; i < hp->size(); ++i)
-                std::printf("host wall : %-32s %.6f s\n",
-                            hp->keys()[i].c_str(),
-                            hp->items()[i].asNumber());
     }
     return errors == 0 && rendered > 0 ? 0 : 1;
 }
@@ -679,198 +656,6 @@ cmdWatch(const std::string &path, bool summaryOnly)
     return errors == 0 ? 0 : 1;
 }
 
-constexpr const char *kBenchHistorySchema = "cord-bench-history-v1";
-
-/** Load every entry of a bench-history db; missing file -> empty. */
-std::vector<JsonValue>
-loadBenchHistory(const std::string &db)
-{
-    std::vector<JsonValue> entries;
-    std::string text;
-    std::FILE *f = std::fopen(db.c_str(), "rb");
-    if (!f)
-        return entries;
-    std::fclose(f);
-    if (!readFile(db, text))
-        std::exit(2);
-    std::size_t start = 0;
-    unsigned lineNo = 0;
-    while (start < text.size()) {
-        std::size_t end = text.find('\n', start);
-        if (end == std::string::npos)
-            end = text.size();
-        const std::string line = text.substr(start, end - start);
-        start = end + 1;
-        ++lineNo;
-        if (line.empty())
-            continue;
-        std::string err;
-        auto v = JsonValue::parse(line, &err);
-        if (!v || !v->isObject() ||
-            v->str("schema") != kBenchHistorySchema) {
-            std::fprintf(stderr,
-                         "cordstat: %s:%u: not a %s entry%s%s\n",
-                         db.c_str(), lineNo, kBenchHistorySchema,
-                         err.empty() ? "" : ": ", err.c_str());
-            std::exit(2);
-        }
-        entries.push_back(std::move(*v));
-    }
-    return entries;
-}
-
-/**
- * `cordstat bench-history record`: append one bench manifest to the
- * perf-trajectory db as a single JSONL entry keyed by bench name
- * (the manifest's tool) and git stamp, carrying the full flattened
- * metric map so future `check` runs can gate on any metric.
- */
-int
-cmdBenchRecord(const std::string &path, const std::string &db)
-{
-    const JsonValue m = loadManifest(path);
-    const auto metrics = manifestMetrics(m);
-
-    JsonWriter w;
-    w.beginObject();
-    w.field("schema", kBenchHistorySchema);
-    w.field("bench", m.str("tool"));
-    w.field("git", m.str("git"));
-    w.field("build", m.str("build"));
-    w.field("timestamp", m.str("timestamp"));
-    w.key("metrics");
-    w.beginObject();
-    for (const auto &[name, v] : metrics)
-        w.field(name, v);
-    w.endObject();
-    w.endObject();
-
-    std::FILE *f = std::fopen(db.c_str(), "ab");
-    if (!f) {
-        std::fprintf(stderr, "cordstat: cannot append to %s\n",
-                     db.c_str());
-        return 2;
-    }
-    const std::string line = w.str();
-    std::fwrite(line.data(), 1, line.size(), f);
-    std::fputc('\n', f);
-    std::fclose(f);
-    std::printf("recorded %s@%s (%zu metric(s)) -> %s\n",
-                m.str("tool").c_str(), m.str("git").c_str(),
-                metrics.size(), db.c_str());
-    return 0;
-}
-
-double
-benchMetric(const JsonValue &entry, const std::string &metric,
-            bool *ok = nullptr)
-{
-    if (ok)
-        *ok = false;
-    const JsonValue *ms = entry.find("metrics");
-    if (!ms)
-        return 0.0;
-    const JsonValue *v = ms->find(metric);
-    if (!v || !v->isNumber())
-        return 0.0;
-    if (ok)
-        *ok = true;
-    return v->asNumber();
-}
-
-/** `cordstat bench-history show`: the trajectory with deltas. */
-int
-cmdBenchShow(const std::string &db, const std::string &metric)
-{
-    const auto entries = loadBenchHistory(db);
-    if (entries.empty()) {
-        std::printf("%s: no entries\n", db.c_str());
-        return 0;
-    }
-    std::printf("%-14s %-14s %-20s %16s %8s\n", "bench", "git",
-                "timestamp", metric.c_str(), "delta");
-    std::map<std::string, double> lastValue;
-    for (const JsonValue &e : entries) {
-        const std::string bench = e.str("bench");
-        bool ok = false;
-        const double v = benchMetric(e, metric, &ok);
-        std::string delta = "-";
-        if (ok) {
-            const auto it = lastValue.find(bench);
-            if (it != lastValue.end() && it->second != 0) {
-                char buf[32];
-                std::snprintf(buf, sizeof buf, "%+.1f%%",
-                              100.0 * (v - it->second) / it->second);
-                delta = buf;
-            }
-            lastValue[bench] = v;
-        }
-        std::printf("%-14s %-14s %-20s %16s %8s\n", bench.c_str(),
-                    e.str("git").c_str(), e.str("timestamp").c_str(),
-                    ok ? fmtNum(v).c_str() : "-", delta.c_str());
-    }
-    return 0;
-}
-
-/**
- * `cordstat bench-history check`: gate a bench manifest against the
- * db's most recent entry for the same bench.  The candidate passes
- * when candidate/baseline >= minRatio; entries matching the
- * candidate's own git+timestamp are skipped so a record-then-check
- * sequence never compares the run against itself.  Exit 0 pass (or
- * no baseline yet), 1 regression, 2 missing metric.
- */
-int
-cmdBenchCheck(const std::string &path, const std::string &db,
-              const std::string &metric, double minRatio)
-{
-    const JsonValue m = loadManifest(path);
-    const auto metrics = manifestMetrics(m);
-    const auto it = metrics.find(metric);
-    if (it == metrics.end()) {
-        std::fprintf(stderr, "cordstat: %s has no metric %s\n",
-                     path.c_str(), metric.c_str());
-        return 2;
-    }
-    const double cand = it->second;
-    const std::string bench = m.str("tool");
-
-    const std::vector<JsonValue> entries = loadBenchHistory(db);
-    const JsonValue *base = nullptr;
-    for (const auto &e : entries) {
-        if (e.str("bench") != bench)
-            continue;
-        if (e.str("git") == m.str("git") &&
-            e.str("timestamp") == m.str("timestamp"))
-            continue;
-        base = &e;
-    }
-    if (!base) {
-        std::printf("%s: no prior %s entry in %s -- nothing to gate "
-                    "against\n",
-                    path.c_str(), bench.c_str(), db.c_str());
-        return 0;
-    }
-    bool ok = false;
-    const double baseV = benchMetric(*base, metric, &ok);
-    if (!ok || baseV == 0) {
-        std::fprintf(stderr,
-                     "cordstat: baseline %s@%s has no usable %s\n",
-                     bench.c_str(), base->str("git").c_str(),
-                     metric.c_str());
-        return 2;
-    }
-    const double ratio = cand / baseV;
-    const bool pass = ratio >= minRatio;
-    std::printf("%s: %s %s vs %s@%s %s -- ratio %.3fx (floor %.3fx) "
-                "%s\n",
-                bench.c_str(), metric.c_str(), fmtNum(cand).c_str(),
-                base->str("git").c_str(), base->str("timestamp").c_str(),
-                fmtNum(baseV).c_str(), ratio, minRatio,
-                pass ? "PASS" : "REGRESSION");
-    return pass ? 0 : 1;
-}
-
 } // namespace
 
 int
@@ -879,23 +664,11 @@ main(int argc, char **argv)
     if (argc < 2)
         usage();
     const std::string cmd = argv[1];
-    int argStart = 2;
-    std::string sub;
-    if (cmd == "bench-history") {
-        if (argc < 3)
-            usage();
-        sub = argv[2];
-        argStart = 3;
-    }
-
     double tolPct = 0.0;
     g_jobs = defaultJobs();
-    std::string db = "BENCH_history.jsonl";
-    std::string metric = "perf.total.eventsPerSec";
-    double minRatio = 0.9;
     bool summary = false;
     std::vector<std::string> paths;
-    for (int i = argStart; i < argc; ++i) {
+    for (int i = 2; i < argc; ++i) {
         const std::string a = argv[i];
         auto value = [&]() -> const char * {
             if (i + 1 >= argc)
@@ -909,12 +682,6 @@ main(int argc, char **argv)
             if (!n)
                 badValue(n.error);
             g_jobs = resolveJobs(static_cast<unsigned>(n.value));
-        } else if (a == "--db") {
-            db = value();
-        } else if (a == "--metric") {
-            metric = value();
-        } else if (a == "--min-ratio") {
-            minRatio = parseReal(a, value());
         } else if (a == "--summary") {
             summary = true;
         } else {
@@ -922,15 +689,6 @@ main(int argc, char **argv)
         }
     }
 
-    if (cmd == "bench-history") {
-        if (sub == "record" && paths.size() == 1)
-            return cmdBenchRecord(paths[0], db);
-        if (sub == "show" && paths.empty())
-            return cmdBenchShow(db, metric);
-        if (sub == "check" && paths.size() == 1)
-            return cmdBenchCheck(paths[0], db, metric, minRatio);
-        usage();
-    }
     if (paths.empty())
         usage();
 
