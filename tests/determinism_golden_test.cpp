@@ -369,6 +369,69 @@ INSTANTIATE_TEST_SUITE_P(
         return std::string(p.param.name);
     });
 
+/**
+ * Overhead-decomposition digest table: the addProfileMetrics manifest
+ * of runProfile("fft") at scale 4 on the default 4-core snooping
+ * machine and on a 16-core directory machine.  The directory machine
+ * charges one probe per sharer for every race check, so a counter that
+ * moves to the wrong charge site changes its row.  Same re-record rule
+ * as the goldens above.
+ */
+struct ProfileGoldenRow
+{
+    const char *name;
+    unsigned threads;
+    unsigned cores;
+    bool directory;
+    std::uint64_t digest;
+};
+
+constexpr ProfileGoldenRow kGoldenProfileTable[] = {
+    {"fft_snoop4", 4, 4, false, 0x1baaf47b48e5b056ULL},
+    {"fft_dir16", 16, 16, true, 0xb499118a9010f50bULL},
+};
+
+void
+PrintTo(const ProfileGoldenRow &row, std::ostream *os)
+{
+    *os << row.name;
+}
+
+class ProfileGoldenTable : public ::testing::TestWithParam<ProfileGoldenRow>
+{
+};
+
+TEST_P(ProfileGoldenTable, ManifestBytes)
+{
+    const ProfileGoldenRow &row = GetParam();
+    WorkloadParams params;
+    params.numThreads = row.threads;
+    params.scale = 4;
+    params.seed = 12;
+    MachineConfig machine;
+    machine.numCores = row.cores;
+    if (row.directory)
+        machine.coherence = CoherenceKind::Directory;
+    const CordConfig cc = CordConfig::forMachine(machine, row.threads);
+
+    RunManifest m;
+    m.tool = "determinism_golden_profile";
+    m.seed = 12;
+    m.setConfig("scale", std::uint64_t(4));
+    addProfileMetrics(m, runProfile("fft", params, machine, cc));
+    const std::string bytes = m.renderJson(/*includeVolatile=*/false);
+    report((std::string("kGoldenProfileTable[") + row.name + "]").c_str(),
+           fnv1a(bytes));
+    EXPECT_EQ(fnv1a(bytes), row.digest)
+        << row.name << ": profile manifest bytes changed";
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Table, ProfileGoldenTable, ::testing::ValuesIn(kGoldenProfileTable),
+    [](const ::testing::TestParamInfo<ProfileGoldenRow> &p) {
+        return std::string(p.param.name);
+    });
+
 TEST(DeterminismGolden, ScheduleLogBytes)
 {
     SchedOptions opts;
