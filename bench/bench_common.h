@@ -231,6 +231,24 @@ splitCommaList(const char *v)
 }
 
 /**
+ * The entries of comma-separated environment knob @p name (empty when
+ * unset or empty).  A knob that is set but names no entry (",") exits
+ * 2 with a message naming the @p what it should have listed.
+ */
+inline std::vector<std::string>
+envList(const char *name, const char *what)
+{
+    const char *v = std::getenv(name);
+    std::vector<std::string> out = splitCommaList(v);
+    if (v && *v && out.empty()) {
+        std::fprintf(stderr, "%s: %s named no %s\n",
+                     args().tool.c_str(), name, what);
+        std::exit(2);
+    }
+    return out;
+}
+
+/**
  * The CORD_LOAD sweep for bench_server: offered-load percentages, one
  * measurement point each.  Default covers under-, nominal and over-
  * load so the latency knee is visible.
@@ -239,7 +257,7 @@ inline std::vector<unsigned>
 loadLevels()
 {
     std::vector<unsigned> levels;
-    for (const std::string &tok : splitCommaList(std::getenv("CORD_LOAD")))
+    for (const std::string &tok : envList("CORD_LOAD", "load levels"))
         levels.push_back(parseUnsignedOrExit("CORD_LOAD", tok, 1));
     if (levels.empty())
         levels = {50, 100, 200};
@@ -267,10 +285,10 @@ loadPercent()
 inline std::vector<std::string>
 appList()
 {
-    const char *v = std::getenv("CORD_APPS");
-    if (!v || !*v)
-        return workloadNames("splash");
-    return splitCommaList(v);
+    std::vector<std::string> apps = envList("CORD_APPS", "apps");
+    if (apps.empty())
+        apps = workloadNames("splash");
+    return apps;
 }
 
 /**

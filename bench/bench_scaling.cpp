@@ -53,17 +53,11 @@ namespace
 std::vector<unsigned>
 coreList()
 {
-    const char *v = std::getenv("CORD_CORES");
-    if (!v || !*v)
-        return {4, 8, 16, 32, 64};
     std::vector<unsigned> cores;
-    for (const std::string &tok : bench::splitCommaList(v))
+    for (const std::string &tok : bench::envList("CORD_CORES", "core counts"))
         cores.push_back(bench::parseUnsignedOrExit("CORD_CORES", tok, 1));
-    if (cores.empty()) {
-        std::fprintf(stderr, "%s: CORD_CORES named no core counts\n",
-                     bench::args().tool.c_str());
-        std::exit(2);
-    }
+    if (cores.empty())
+        cores = {4, 8, 16, 32, 64};
     return cores;
 }
 

@@ -58,19 +58,12 @@ struct ServerPoint
     unsigned injections = 0;
 };
 
-/** Latency quantiles + tail counters out of one run's stats. */
+/** p50 / p99 of one run's request-latency histogram. */
 void
-readTraffic(const RunOutcome &out, Tick &p50, Tick &p99,
-            ServerPoint *tail)
+readLatency(const RequestTraffic &t, Tick &p50, Tick &p99)
 {
-    const HistogramStat &h = out.stats.histogram("server.latencyTicks");
-    p50 = static_cast<Tick>(h.quantile(0.5));
-    p99 = static_cast<Tick>(h.quantile(0.99));
-    if (tail) {
-        tail->completed = out.stats.get("server.requests.completed");
-        tail->dropped = out.stats.get("server.requests.dropped");
-        tail->saturated = out.stats.get("server.requests.saturated");
-    }
+    p50 = static_cast<Tick>(t.latencyTicks.quantile(0.5));
+    p99 = static_cast<Tick>(t.latencyTicks.quantile(0.99));
 }
 
 ServerPoint
@@ -87,35 +80,15 @@ measurePoint(const std::string &app, unsigned load)
     params.seed = bench::workloadSeed();
     const MachineConfig machine;
 
-    // Baseline: no order-recording hardware.  Tail counters are read
-    // here -- drops happen at arrival time and are detector-invariant.
-    {
-        RunSetup base;
-        base.workload = app;
-        base.params = params;
-        base.machine = machine;
-        const RunOutcome out = runWorkload(base);
-        cord_assert(out.completed, app, ": baseline run incomplete");
-        readTraffic(out, pt.p50Base, pt.p99Base, &pt);
-        pt.rel = static_cast<double>(out.ticks); // denominator for now
-
-        // CORD attached, traffic charged to the buses (Figure 11).
-        CordConfig cfg;
-        cfg.deriveGeometry(machine, params.numThreads);
-        CordDetector cord(cfg);
-        RunSetup run;
-        run.workload = app;
-        run.params = params;
-        run.machine = machine;
-        run.detectors.push_back(&cord);
-        run.timingCord = &cord;
-        const RunOutcome cout = runWorkload(run);
-        cord_assert(cout.completed, app, ": CORD run incomplete");
-        readTraffic(cout, pt.p50Cord, pt.p99Cord, nullptr);
-        pt.rel = out.ticks
-                     ? static_cast<double>(cout.ticks) / out.ticks
-                     : 1.0;
-    }
+    // Figure 11 run pair.  Tail counters come from the baseline run --
+    // drops happen at arrival time and are detector-invariant.
+    const PerfPoint perf = runPerf(app, params, machine, CordConfig{});
+    readLatency(perf.baselineTraffic, pt.p50Base, pt.p99Base);
+    readLatency(perf.cordTraffic, pt.p50Cord, pt.p99Cord);
+    pt.completed = perf.baselineTraffic.completed;
+    pt.dropped = perf.baselineTraffic.dropped;
+    pt.saturated = perf.baselineTraffic.saturated;
+    pt.rel = perf.relative();
 
     // Detection at this load: the standard injection campaign.
     {

@@ -34,7 +34,7 @@ namespace cord
  *  (i.e. what caused a memTsBroadcast).  Invalidation is ordinary
  *  timestamp maintenance driven by coherence; the other three are
  *  history-capacity effects (displacement and walker staleness),
- *  which the overhead profiler attributes separately. */
+ *  which the overhead decomposition counts separately. */
 enum class FoldCause : std::uint8_t
 {
     Invalidation,     //!< remote copy invalidated by a committed write

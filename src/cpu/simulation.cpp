@@ -315,9 +315,6 @@ Simulation::issueMemOp(Thread &t)
         completion =
             mem_.access(t.core, op.addr, writeForTiming, events_.now())
                 .completion;
-        if (Profiler *p = Profiler::active())
-            p->addCycles(ProfDomain::MemService,
-                         completion - events_.now());
         if (sched_) {
             const Tick extra = sched_->memDelay(t.tid, op.addr, op.sync);
             if (schedRec_)

@@ -19,7 +19,6 @@
 
 #include "cord/detector.h"
 #include "mem/machine_config.h"
-#include "obs/profiler.h"
 #include "mem/timing_mem.h"
 #include "runtime/sim_task.h"
 #include "runtime/value_store.h"
@@ -33,6 +32,32 @@ namespace cord
 {
 
 class CordDetector;
+
+/**
+ * The bus charges a timing-coupled CORD made, by mechanism: the
+ * simulated cycles they consumed and how many there were.  This is the
+ * per-mechanism split behind the Figure 11 overhead decomposition
+ * (harness/experiments.h runProfile).
+ */
+struct CordCharges
+{
+    struct Mechanism
+    {
+        std::uint64_t cycles = 0;
+        std::uint64_t charges = 0;
+
+        void
+        add(Tick c)
+        {
+            cycles += c;
+            ++charges;
+        }
+    };
+
+    Mechanism check;     //!< race checks
+    Mechanism timestamp; //!< folds caused by invalidations
+    Mechanism history;   //!< displacement and walker folds
+};
 
 /**
  * Controls instruction retirement (deterministic replay).
@@ -125,23 +150,23 @@ class Simulation : public CordTrafficSink
     raceCheck(Tick now, Addr addr, unsigned sharers,
               std::uint64_t sharerMask) override
     {
-        const Tick cycles =
-            mem_.chargeRaceCheck(now, addr, sharers, sharerMask);
-        if (Profiler *p = Profiler::active())
-            p->addCycles(ProfDomain::CordCheck, cycles);
+        cordCharges_.check.add(
+            mem_.chargeRaceCheck(now, addr, sharers, sharerMask));
     }
 
     void
     memTsBroadcast(Tick now, FoldCause cause, Addr addr) override
     {
-        const Tick cycles = mem_.chargeMemTsBroadcast(now, addr);
-        if (Profiler *p = Profiler::active())
-            p->addCycles(cause == FoldCause::Invalidation
-                             ? ProfDomain::CordTimestamp
-                             : ProfDomain::CordHistory,
-                         cycles);
+        CordCharges::Mechanism &m = cause == FoldCause::Invalidation
+                                        ? cordCharges_.timestamp
+                                        : cordCharges_.history;
+        m.add(mem_.chargeMemTsBroadcast(now, addr));
     }
     /// @}
+
+    /** The timing-coupled CORD's bus charges so far, by mechanism
+     *  (all zero without setTimingCord). */
+    const CordCharges &cordCharges() const { return cordCharges_; }
 
     /** Tick at which the last thread finished. */
     Tick finishTick() const { return finishTick_; }
@@ -256,6 +281,7 @@ class Simulation : public CordTrafficSink
     std::vector<Core> cores_;
     std::vector<Detector *> detectors_;
     CordDetector *timingCord_ = nullptr;
+    CordCharges cordCharges_;
     std::vector<MemEvent> batch_; //!< committed, not yet dispatched
     std::size_t flushAt_ = 1;     //!< batch_ size that triggers a flush
     Tick maxTicks_ = kMaxTick;    //!< run()'s watchdog limit

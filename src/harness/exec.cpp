@@ -121,45 +121,4 @@ ThreadPool::workerMain()
     }
 }
 
-void
-parallelFor(std::size_t n, unsigned jobs,
-            const std::function<void(std::size_t)> &fn)
-{
-    jobs = resolveJobs(jobs);
-    if (n == 0)
-        return;
-    if (jobs <= 1 || n == 1) {
-        for (std::size_t i = 0; i < n; ++i)
-            fn(i);
-        return;
-    }
-
-    std::atomic<std::size_t> next{0};
-    std::mutex errMu;
-    std::exception_ptr firstError;
-    {
-        ThreadPool pool(
-            static_cast<unsigned>(std::min<std::size_t>(jobs, n)));
-        for (unsigned w = 0; w < pool.workers(); ++w) {
-            pool.submit([&] {
-                for (;;) {
-                    const std::size_t i =
-                        next.fetch_add(1, std::memory_order_relaxed);
-                    if (i >= n)
-                        return;
-                    try {
-                        fn(i);
-                    } catch (...) {
-                        std::lock_guard<std::mutex> lk(errMu);
-                        if (!firstError)
-                            firstError = std::current_exception();
-                    }
-                }
-            });
-        }
-    } // joins
-    if (firstError)
-        std::rethrow_exception(firstError);
-}
-
 } // namespace cord

@@ -3,16 +3,12 @@
  * Deterministic parallel experiment execution.
  *
  * Every paper figure is an embarrassingly-parallel sweep of independent
- * simulations, so the harness provides a small thread pool plus two
- * fan-out primitives built on it:
- *
- *  - parallelFor(n, jobs, fn): run fn(0..n-1) across `jobs` worker
- *    threads with no result plumbing;
- *  - parallelForOrdered(n, jobs, work, merge): run work(i) on workers
- *    and hand each result to merge(i, result) **in submission order on
- *    the calling thread**, so aggregation code written for the
- *    sequential path keeps working unchanged and produces bit-identical
- *    output for any job count.
+ * simulations, so the harness provides a small thread pool and one
+ * fan-out primitive built on it: parallelForOrdered(n, jobs, work,
+ * merge) runs work(i) on workers and hands each result to
+ * merge(i, result) **in submission order on the calling thread**, so
+ * aggregation code written for the sequential path keeps working
+ * unchanged and produces bit-identical output for any job count.
  *
  * Determinism contract: work(i) must depend only on i (derive per-index
  * seeds with mixSeed, never from shared RNG state drawn inside the
@@ -66,7 +62,7 @@ std::uint64_t mixSeed(std::uint64_t seed, std::uint64_t index);
  * Fixed-size pool of worker threads draining one FIFO job queue.
  *
  * The destructor waits for every submitted job to finish.  Jobs must
- * not throw; use the parallelFor wrappers for exception plumbing.
+ * not throw; parallelForOrdered does the exception plumbing.
  */
 class ThreadPool
 {
@@ -99,15 +95,6 @@ class ThreadPool
     std::condition_variable cv_;
     bool stop_ = false;
 };
-
-/**
- * Run @p fn(i) for every i in [0, n) on up to @p jobs worker threads.
- * Blocks until all indices completed.  The first exception thrown by
- * any @p fn invocation is rethrown on the calling thread after the
- * loop finishes.
- */
-void parallelFor(std::size_t n, unsigned jobs,
-                 const std::function<void(std::size_t)> &fn);
 
 /**
  * Run @p work(i) for every i in [0, n) on up to @p jobs workers and

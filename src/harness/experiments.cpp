@@ -10,7 +10,6 @@
 #include "harness/trunk.h"
 #include "inject/injector.h"
 #include "obs/manifest.h"
-#include "obs/profiler.h"
 #include "sim/logging.h"
 #include "sim/rng.h"
 
@@ -352,41 +351,55 @@ addCampaignMetrics(RunManifest &m, const std::string &app,
     }
 }
 
+namespace
+{
+
+RequestTraffic
+requestTraffic(const StatRegistry &s)
+{
+    RequestTraffic t;
+    t.latencyTicks = s.histogram("server.latencyTicks");
+    t.completed = s.get("server.requests.completed");
+    t.dropped = s.get("server.requests.dropped");
+    t.saturated = s.get("server.requests.saturated");
+    return t;
+}
+
+} // namespace
+
 PerfPoint
 runPerf(const std::string &workload, const WorkloadParams &params,
         const MachineConfig &machine, const CordConfig &cordCfg)
 {
     PerfPoint p;
+    RunSetup run;
+    run.workload = workload;
+    run.params = params;
+    run.machine = machine;
 
     // Baseline: no order-recording, no detection hardware at all.
-    {
-        RunSetup base;
-        base.workload = workload;
-        base.params = params;
-        base.machine = machine;
-        const RunOutcome out = runWorkload(base);
-        cord_assert(out.completed, "baseline perf run did not complete");
-        p.baselineTicks = out.ticks;
-        p.syncInstances = out.totalInstances();
-    }
+    const RunOutcome base = runWorkload(run);
+    cord_assert(base.completed, workload,
+                ": baseline perf run did not complete");
+    p.baselineTicks = base.ticks;
+    p.syncInstances = base.totalInstances();
+    p.baselineTraffic = requestTraffic(base.stats);
 
     // CORD attached, its traffic charged to the address/timestamp bus.
-    {
-        CordConfig cfg = cordCfg;
-        cfg.deriveGeometry(machine, params.numThreads);
-        CordDetector cord(cfg);
-        RunSetup run;
-        run.workload = workload;
-        run.params = params;
-        run.machine = machine;
-        run.detectors.push_back(&cord);
-        run.timingCord = &cord;
-        const RunOutcome out = runWorkload(run);
-        cord_assert(out.completed, "CORD perf run did not complete");
-        p.cordTicks = out.ticks;
-        p.raceCheckTraffic = cord.stats().get("cord.raceChecks");
-        p.memTsTraffic = cord.stats().get("cord.memTsUpdates");
-    }
+    CordConfig cfg = cordCfg;
+    cfg.deriveGeometry(machine, params.numThreads);
+    CordDetector cord(cfg);
+    run.detectors.push_back(&cord);
+    run.timingCord = &cord;
+    const RunOutcome out = runWorkload(run);
+    cord_assert(out.completed, workload, ": CORD perf run did not complete");
+    p.cordTicks = out.ticks;
+    p.cordCharges = out.cordCharges;
+    p.cordTraffic = requestTraffic(out.stats);
+    p.raceCheckTraffic = cord.stats().get("cord.raceChecks");
+    p.memTsTraffic = cord.stats().get("cord.memTsUpdates");
+    p.logEntries = cord.stats().get("cord.logEntries");
+    p.logWireBytes = cord.stats().get("cord.logWireBytes");
     return p;
 }
 
@@ -394,48 +407,12 @@ ProfileReport
 runProfile(const std::string &workload, const WorkloadParams &params,
            const MachineConfig &machine, const CordConfig &cordCfg)
 {
+    const PerfPoint p = runPerf(workload, params, machine, cordCfg);
     ProfileReport r;
     r.workload = workload;
-
-    // Ideal baseline: no detection hardware.
-    {
-        RunSetup base;
-        base.workload = workload;
-        base.params = params;
-        base.machine = machine;
-        const RunOutcome out = runWorkload(base);
-        cord_assert(out.completed,
-                    "baseline profile run did not complete");
-        r.baselineTicks = out.ticks;
-    }
-
-    // CORD run, traffic charged to the buses, profiler attributing
-    // every charge to its mechanism.
-    Profiler cordProf;
-    std::uint64_t raceChecks = 0;
-    std::uint64_t invalidationFolds = 0;
-    std::uint64_t historyFolds = 0;
-    std::uint64_t logEntries = 0;
-    {
-        ProfilerScope ps(cordProf);
-        CordConfig cfg = cordCfg;
-        cfg.deriveGeometry(machine, params.numThreads);
-        CordDetector cord(cfg);
-        RunSetup run;
-        run.workload = workload;
-        run.params = params;
-        run.machine = machine;
-        run.detectors.push_back(&cord);
-        run.timingCord = &cord;
-        const RunOutcome out = runWorkload(run);
-        cord_assert(out.completed, "CORD profile run did not complete");
-        r.cordTicks = out.ticks;
-        raceChecks = cord.stats().get("cord.raceChecks");
-        logEntries = cord.stats().get("cord.logEntries");
-        r.logWireBytes = cord.stats().get("cord.logWireBytes");
-        invalidationFolds = cordProf.calls(ProfDomain::CordTimestamp);
-        historyFolds = cordProf.calls(ProfDomain::CordHistory);
-    }
+    r.baselineTicks = p.baselineTicks;
+    r.cordTicks = p.cordTicks;
+    r.logWireBytes = p.logWireBytes;
     r.overheadTicks =
         r.cordTicks > r.baselineTicks ? r.cordTicks - r.baselineTicks : 0;
 
@@ -450,14 +427,12 @@ runProfile(const std::string &workload, const WorkloadParams &params,
     const std::uint64_t logCycles =
         logChunks * static_cast<std::uint64_t>(machine.offChipBusOccupancy);
 
+    const CordCharges &c = p.cordCharges;
     r.mechanisms = {
-        {"check", cordProf.cycles(ProfDomain::CordCheck), raceChecks, 0,
-         0},
-        {"timestamp", cordProf.cycles(ProfDomain::CordTimestamp),
-         invalidationFolds, 0, 0},
-        {"history", cordProf.cycles(ProfDomain::CordHistory),
-         historyFolds, 0, 0},
-        {"log", logCycles, logEntries, 0, 0},
+        {"check", c.check.cycles, p.raceCheckTraffic, 0, 0},
+        {"timestamp", c.timestamp.cycles, c.timestamp.charges, 0, 0},
+        {"history", c.history.cycles, c.history.charges, 0, 0},
+        {"log", logCycles, p.logEntries, 0, 0},
     };
     std::uint64_t attributed = 0;
     for (const ProfileMechanism &m : r.mechanisms)

@@ -223,14 +223,33 @@ struct RunManifest;
 void addCampaignMetrics(RunManifest &m, const std::string &app,
                         const CampaignResult &r);
 
-/** Figure 11: relative execution time with CORD attached. */
+/** A server-family run's request traffic (zero for other families). */
+struct RequestTraffic
+{
+    HistogramStat latencyTicks;  //!< "server.latencyTicks"
+    std::uint64_t completed = 0; //!< "server.requests.completed"
+    std::uint64_t dropped = 0;   //!< "server.requests.dropped"
+    std::uint64_t saturated = 0; //!< "server.requests.saturated"
+};
+
+/**
+ * Figure 11: one workload run twice, without detection hardware
+ * (baseline) and with CORD attached and its race-check and
+ * memory-timestamp traffic charged to the buses.  Produced by
+ * runPerf(); the one place that builds this run pair.
+ */
 struct PerfPoint
 {
     Tick baselineTicks = 0;
     Tick cordTicks = 0;
-    std::uint64_t raceCheckTraffic = 0;
-    std::uint64_t memTsTraffic = 0;
+    std::uint64_t raceCheckTraffic = 0; //!< "cord.raceChecks"
+    std::uint64_t memTsTraffic = 0;     //!< "cord.memTsUpdates"
     std::uint64_t syncInstances = 0;
+    std::uint64_t logEntries = 0;       //!< "cord.logEntries"
+    std::uint64_t logWireBytes = 0;     //!< "cord.logWireBytes"
+    CordCharges cordCharges;            //!< the CORD run's bus charges
+    RequestTraffic baselineTraffic;
+    RequestTraffic cordTraffic;
 
     double
     relative() const
@@ -246,8 +265,8 @@ PerfPoint runPerf(const std::string &workload,
                   const MachineConfig &machine, const CordConfig &cord);
 
 /**
- * Overhead decomposition (obs/profiler.h): where CORD's end-to-end
- * slowdown comes from, by mechanism.  Produced by runProfile().
+ * Overhead decomposition: where CORD's end-to-end slowdown comes from,
+ * by mechanism.  Produced by runProfile().
  *
  * The measured total is exact: cordTicks - baselineTicks from two runs
  * of the same deterministic workload.  Each mechanism's attributed
@@ -289,9 +308,9 @@ struct ProfileReport
 };
 
 /**
- * Profile one workload: an Ideal baseline run and a CORD run under an
- * active Profiler (exact per-mechanism cycle attribution).
- * Deterministic for a fixed configuration.
+ * Profile one workload: runPerf()'s run pair, with the CORD run's bus
+ * charges per mechanism (Simulation::cordCharges) prorating the
+ * measured overhead.  Deterministic for a fixed configuration.
  */
 ProfileReport runProfile(const std::string &workload,
                          const WorkloadParams &params,

@@ -2,7 +2,6 @@
 
 #include <memory>
 
-#include "obs/profiler.h"
 #include "obs/tracer.h"
 #include "runtime/address_space.h"
 #include "sim/logging.h"
@@ -80,6 +79,7 @@ runWorkload(const RunSetup &setup)
     out.removedInstances = rt.removedInstances();
     out.footprintWords = sim.memory().footprintWords();
     out.interleavingSignature = sim.interleavingSignature();
+    out.cordCharges = sim.cordCharges();
     for (unsigned t = 0; t < setup.params.numThreads; ++t) {
         out.instrs.push_back(sim.instrCount(static_cast<ThreadId>(t)));
         out.readChecksums.push_back(
@@ -110,16 +110,14 @@ runWorkload(const RunSetup &setup)
     workload->exportStats(out.stats);
 
     // Observability self-accounting: a run executed under an active
-    // tracer or profiler records what the instruments themselves saw
-    // (ring-buffer drops must be visible, not silent -- cordstat show
-    // warns on obs.tracer.dropped).  Uninstrumented runs add nothing,
-    // keeping golden manifests unchanged.
+    // tracer records what the tracer itself saw (ring-buffer drops
+    // must be visible, not silent -- cordstat show warns on
+    // obs.tracer.dropped).  Untraced runs add nothing, keeping golden
+    // manifests unchanged.
     if (const EventTracer *tr = EventTracer::active()) {
         out.stats.set("obs.tracer.total", tr->total());
         out.stats.set("obs.tracer.dropped", tr->dropped());
     }
-    if (const Profiler *p = Profiler::active())
-        exportProfileStats(*p, out.stats);
     return out;
 }
 

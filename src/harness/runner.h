@@ -86,6 +86,11 @@ struct RunOutcome
      *  explorations add it to their own manifests explicitly. */
     std::uint64_t interleavingSignature = 0;
 
+    /** RunSetup::timingCord's bus charges by mechanism (all zero
+     *  without one).  Not exported into `stats` either: only the
+     *  overhead decomposition reads it. */
+    CordCharges cordCharges;
+
     /** Machine-level metrics ("sim.*", "mem.*") snapshotted at run end;
      *  detector metrics stay with the detector objects.  Feed into a
      *  MetricHub (obs/metrics.h) for manifests. */

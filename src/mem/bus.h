@@ -19,7 +19,6 @@
 #include <cstdint>
 #include <string>
 
-#include "obs/profiler.h"
 #include "obs/tracer.h"
 #include "sim/stats.h"
 #include "sim/types.h"
@@ -53,8 +52,6 @@ class BusChannel
         busyCycles_ += occupancy_;
         ++transactions_;
         waitCycles_ += grant - now;
-        if (Profiler *p = Profiler::active())
-            p->addCycles(ProfDomain::BusArbitration, grant - now);
         if (EventTracer *t = EventTracer::active())
             t->emit(TraceEventKind::BusTransaction, grant,
                     kInvalidThread, busId_, grant - now, occupancy_);

@@ -167,9 +167,14 @@ class EventTracer
     /** Thread-local so one run's TracerScope (one run == one thread)
      *  never captures events from runs executing concurrently on other
      *  workers (see tests/obs_test.cpp TracerThreadIsolation).
-     *  Local-exec, like Profiler::active_: the simulator libraries are
-     *  only linked statically into executables, and the default
-     *  initial-exec model breaks UBSan builds (see there). */
+     *
+     *  Local-exec TLS model: the simulator libraries are only linked
+     *  statically into executables.  Under the default initial-exec
+     *  model, GCC 12's UBSan null check may branch on the flags of an
+     *  `add x@gottpoff(%rip), %reg` that ld rewrites into a flag-less
+     *  `lea` when it relaxes the access to local-exec; the check then
+     *  reads stale flags and reports a null pointer that is not there.
+     *  Local-exec leaves ld nothing to rewrite. */
     [[gnu::tls_model("local-exec")]] static thread_local EventTracer
         *active_;
 

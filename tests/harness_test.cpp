@@ -7,6 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/wait.h>
+
+#include <cstdio>
+#include <string>
+
 #include "harness/experiments.h"
 #include "harness/table.h"
 
@@ -108,6 +113,62 @@ TEST(Harness, PerfComparisonProducesBothSides)
     // Overhead should be small but sane (well under 2x).
     EXPECT_LT(p.relative(), 2.0);
     EXPECT_GT(p.relative(), 0.5);
+
+    // The CORD run's bus-charge tally, on the default snooping machine
+    // and on a 16-core directory machine (one probe per sharer).
+    for (const bool directory : {false, true}) {
+        SCOPED_TRACE(directory ? "dir16" : "snoop4");
+        WorkloadParams fp;
+        fp.numThreads = directory ? 16 : 4;
+        fp.scale = 4;
+        fp.seed = 3;
+        MachineConfig m;
+        m.numCores = fp.numThreads;
+        if (directory)
+            m.coherence = CoherenceKind::Directory;
+        const CordConfig cc = CordConfig::forMachine(m, fp.numThreads);
+        const PerfPoint f = runPerf("fft", fp, m, cc);
+        const CordCharges &c = f.cordCharges;
+        // Every memory-timestamp update is one fold charge, and a check
+        // is charged only when it is not folded into a miss.
+        EXPECT_EQ(c.timestamp.charges + c.history.charges, f.memTsTraffic);
+        EXPECT_LE(c.check.charges, f.raceCheckTraffic);
+        EXPECT_GT(c.check.charges, 0u);
+        EXPECT_GE(c.check.cycles, c.check.charges);
+
+        // CORD attached but not timing-coupled: nothing is charged.
+        CordDetector uncoupled(cc);
+        RunSetup plain;
+        plain.workload = "fft";
+        plain.params = fp;
+        plain.machine = m;
+        plain.detectors = {&uncoupled};
+        const CordCharges z = runWorkload(plain).cordCharges;
+        for (const CordCharges::Mechanism &mech :
+             {z.check, z.timestamp, z.history}) {
+            EXPECT_EQ(mech.cycles, 0u);
+            EXPECT_EQ(mech.charges, 0u);
+        }
+    }
+}
+
+/** bench_common.h: a list knob that is set but names nothing is an
+ *  error, not an empty table or a silent default sweep. */
+TEST(BenchEnv, Fig11RejectsEmptyAppList)
+{
+    const std::string cmd =
+        std::string("CORD_APPS=, ") + BENCH_FIG11_BIN + " 2>&1";
+    std::FILE *pipe = ::popen(cmd.c_str(), "r");
+    ASSERT_NE(pipe, nullptr);
+    std::string out;
+    char buf[256];
+    while (std::fgets(buf, sizeof buf, pipe))
+        out += buf;
+    const int status = ::pclose(pipe);
+    ASSERT_TRUE(WIFEXITED(status)) << "bench_fig11 died: " << status;
+    EXPECT_EQ(WEXITSTATUS(status), 2) << out;
+    EXPECT_NE(out.find("CORD_APPS named no apps"), std::string::npos)
+        << out;
 }
 
 TEST(TextTableFormat, PercentAndNum)

@@ -8,7 +8,6 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <chrono>
 #include <cstdlib>
 #include <set>
@@ -59,25 +58,6 @@ TEST(ParallelExec, MixSeedIsDeterministicAndSpreads)
     for (std::uint64_t i = 0; i < 1000; ++i)
         seen.insert(mixSeed(42, i));
     EXPECT_EQ(seen.size(), 1000u); // adjacent indices never collide
-}
-
-TEST(ParallelExec, ParallelForCoversEveryIndexOnce)
-{
-    constexpr std::size_t n = 257;
-    std::vector<std::atomic<unsigned>> hits(n);
-    parallelFor(n, 4, [&](std::size_t i) { hits[i].fetch_add(1); });
-    for (std::size_t i = 0; i < n; ++i)
-        EXPECT_EQ(hits[i].load(), 1u) << i;
-}
-
-TEST(ParallelExec, ParallelForRethrowsWorkerException)
-{
-    EXPECT_THROW(parallelFor(64, 4,
-                             [](std::size_t i) {
-                                 if (i == 13)
-                                     throw std::runtime_error("boom");
-                             }),
-                 std::runtime_error);
 }
 
 TEST(ParallelExec, OrderedMergeRunsInSubmissionOrder)

@@ -755,7 +755,7 @@ runReplaySchedMode(const Options &opt)
 }
 
 /**
- * --profile mode: overhead-attribution run (harness/experiments.h).
+ * --profile mode: overhead decomposition (harness/experiments.h).
  * Runs Ideal and CORD back to back and prints where CORD's
  * slowdown comes from, by mechanism; the decomposition sums to the
  * measured overhead by construction.
