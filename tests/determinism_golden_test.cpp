@@ -21,10 +21,12 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "cord/cord_detector.h"
+#include "cord/ideal_detector.h"
 #include "cord/log_codec.h"
 #include "harness/experiments.h"
 #include "harness/runner.h"
@@ -429,6 +431,89 @@ TEST_P(ProfileGoldenTable, ManifestBytes)
 INSTANTIATE_TEST_SUITE_P(
     Table, ProfileGoldenTable, ::testing::ValuesIn(kGoldenProfileTable),
     [](const ::testing::TestParamInfo<ProfileGoldenRow> &p) {
+        return std::string(p.param.name);
+    });
+
+/**
+ * Many-core digest table: one 72-core, 72-thread barnes run (scale 1,
+ * known races kept) on a snooping and on a directory machine.  Past 64
+ * cores a sharer set no longer fits one 64-bit mask, so these rows pin
+ * the remote-history visits of both history-cache detectors there: a
+ * forMachine CORD charged to the buses (timingCord), VC-L2Cache and
+ * Ideal.  Each digest covers sim.ticks, the cord.* and vc.* stats, all
+ * three race-pair counts and CORD's order-log bytes.  Same re-record
+ * rule as the goldens above.
+ */
+struct ManyCoreGoldenRow
+{
+    const char *name;
+    bool directory;
+    std::uint64_t digest;
+};
+
+constexpr ManyCoreGoldenRow kGoldenManyCoreTable[] = {
+    {"barnes_snoop72", false, 0x75f57a3f2e4b86f3ULL},
+    {"barnes_dir72", true, 0xa6dc39f0dcf6a3edULL},
+};
+
+void
+PrintTo(const ManyCoreGoldenRow &row, std::ostream *os)
+{
+    *os << row.name;
+}
+
+class ManyCoreGoldenTable
+    : public ::testing::TestWithParam<ManyCoreGoldenRow>
+{
+};
+
+TEST_P(ManyCoreGoldenTable, RunDigest)
+{
+    const ManyCoreGoldenRow &row = GetParam();
+    constexpr unsigned kCores = 72;
+    RunSetup setup;
+    setup.workload = "barnes";
+    setup.params.numThreads = kCores;
+    setup.params.scale = 1;
+    setup.params.seed = 12;
+    setup.params.includeKnownRaces = true;
+    setup.machine.numCores = kCores;
+    if (row.directory)
+        setup.machine.coherence = CoherenceKind::Directory;
+
+    CordDetector cord(CordConfig::forMachine(setup.machine, kCores));
+    const std::unique_ptr<Detector> vc =
+        vcL2CacheSpec().make(setup.machine, kCores);
+    IdealDetector ideal(kCores);
+    setup.detectors = {&cord, vc.get(), &ideal};
+    setup.timingCord = &cord;
+    const RunOutcome out = runWorkload(setup);
+    ASSERT_TRUE(out.completed);
+
+    RunManifest m;
+    m.tool = "determinism_golden_manycore";
+    m.seed = 12;
+    m.simTicks = out.ticks;
+    m.metrics.add("detector.cord", cord.stats());
+    m.metrics.add("detector.vc", vc->stats());
+    StatRegistry races;
+    races.set("races.cord", cord.races().pairs());
+    races.set("races.vc", vc->races().pairs());
+    races.set("races.ideal", ideal.races().pairs());
+    m.metrics.add("", races);
+    const std::vector<std::uint8_t> wire = encodeOrderLog(cord.orderLog());
+    ASSERT_FALSE(wire.empty());
+    const std::string bytes = m.renderJson(/*includeVolatile=*/false) +
+                              std::string(wire.begin(), wire.end());
+    report((std::string("kGoldenManyCoreTable[") + row.name + "]").c_str(),
+           fnv1a(bytes));
+    EXPECT_EQ(fnv1a(bytes), row.digest)
+        << row.name << ": many-core run digest changed";
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Table, ManyCoreGoldenTable, ::testing::ValuesIn(kGoldenManyCoreTable),
+    [](const ::testing::TestParamInfo<ManyCoreGoldenRow> &p) {
         return std::string(p.param.name);
     });
 
