@@ -19,10 +19,9 @@
  * Each (coherence, cores) point reports the mean relative execution
  * time with CORD attached (Figure 11 metric, runPerf) and an injection
  * campaign's detection rates for CORD vs the vector-clock L2Cache
- * baseline.  Directory campaigns additionally run a broadcast-scan
- * CORD ablation (sharerProbes off) in the same runs and assert that
- * the sharer-set probe path detects *exactly* what the broadcast scan
- * does -- the point-to-point optimization must be detection-invariant.
+ * baseline.  Both detectors visit only the caches holding a line
+ * (cord/history_cache.h), so coherence changes what a check costs on
+ * the buses, never what it detects.
  *
  * The analytic wire-cost curve puts the scalar-vs-vector argument in
  * the manifest too: a vector-clock message carries one 16-bit entry
@@ -112,18 +111,9 @@ measurePoint(CoherenceKind coherence, unsigned cores,
     }
     pt.meanRel = relSum / static_cast<double>(apps.size());
 
-    // Detection: injection campaigns, all apps pooled.  On directory
-    // machines a broadcast-scan CORD ablation rides the same runs so
-    // the sharer-probe path can be checked against it exactly.
-    std::vector<DetectorSpec> specs;
-    specs.push_back(cordSpec(16, "CORD"));
-    specs.push_back(vcL2CacheSpec());
-    const bool directory = coherence == CoherenceKind::Directory;
-    if (directory) {
-        CordConfig bcast;
-        bcast.sharerProbes = false;
-        specs.push_back(cordSpecWith(bcast, "CORD-bcast"));
-    }
+    // Detection: injection campaigns, all apps pooled.
+    const std::vector<DetectorSpec> specs = {cordSpec(16, "CORD"),
+                                             vcL2CacheSpec()};
 
     unsigned cordProblems = 0, vcProblems = 0;
     for (const std::string &app : apps) {
@@ -139,24 +129,6 @@ measurePoint(CoherenceKind coherence, unsigned cores,
         vcProblems += r.problems.count("VC-L2Cache")
                           ? r.problems.at("VC-L2Cache")
                           : 0;
-        if (directory) {
-            auto problemsOf = [&r](const char *label) {
-                const auto it = r.problems.find(label);
-                return it == r.problems.end() ? 0u : it->second;
-            };
-            auto rawOf = [&r](const char *label) -> std::uint64_t {
-                const auto it = r.rawRaces.find(label);
-                return it == r.rawRaces.end() ? 0u : it->second;
-            };
-            cord_assert(problemsOf("CORD") == problemsOf("CORD-bcast"),
-                        app, "@", cores, ": sharer-set probes found ",
-                        problemsOf("CORD"),
-                        " problems, broadcast scan ",
-                        problemsOf("CORD-bcast"));
-            cord_assert(rawOf("CORD") == rawOf("CORD-bcast"), app, "@",
-                        cores,
-                        ": probe/broadcast raw race counts diverge");
-        }
     }
     if (pt.manifested > 0) {
         pt.cordDetect = static_cast<double>(cordProblems) / pt.manifested;

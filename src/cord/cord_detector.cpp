@@ -1,7 +1,6 @@
 #include "cord/cord_detector.h"
 
 #include <algorithm>
-#include <bit>
 
 #include "obs/tracer.h"
 #include "sim/logging.h"
@@ -27,7 +26,8 @@ CordConfig::forMachine(const MachineConfig &m, unsigned threads)
 }
 
 CordDetector::CordDetector(const CordConfig &cfg, std::string name)
-    : Detector(std::move(name)), cfg_(cfg)
+    : Detector(std::move(name)), cfg_(cfg),
+      histories_(cfg.numCores, cfg.infiniteResidency, cfg.residency)
 {
     cord_assert(cfg_.numCores > 0 && cfg_.numThreads > 0,
                 "CORD needs at least one core and one thread");
@@ -42,18 +42,10 @@ CordDetector::CordDetector(const CordConfig &cfg, std::string name)
     memTsBanks_ = cfg_.memTsBanks;
     memReadTs_.assign(memTsBanks_, 0);
     memWriteTs_.assign(memTsBanks_, 0);
-    trackSharers_ = cfg_.sharerProbes && cfg_.numCores <= 64;
-    caches_.reserve(cfg_.numCores);
-    for (unsigned i = 0; i < cfg_.numCores; ++i) {
-        if (cfg_.infiniteResidency)
-            caches_.emplace_back();
-        else
-            caches_.emplace_back(cfg_.residency);
-    }
     writers_.resize(cfg_.numThreads);
     threadDone_.assign(cfg_.numThreads, false);
     for (ThreadId t = 0; t < cfg_.numThreads; ++t)
-        writers_[t].begin(cfg_.recordOrder ? &log_ : nullptr, t, 1);
+        writers_[t].begin(log_, t, 1);
     lastTid_.assign(cfg_.numCores, kInvalidThread);
     raceChecks_ = stats_.counter("cord.raceChecks");
     dataRaces_ = stats_.counter("cord.dataRaces");
@@ -113,47 +105,22 @@ CordDetector::foldIntoMemTs(const LineState &ls, Addr lineA, Tick now,
 }
 
 void
-CordDetector::sharerAdd(Addr addr, CoreId core)
-{
-    if (!trackSharers_)
-        return;
-    sharers_[lineAddr(addr)] |= std::uint64_t(1) << core;
-}
-
-void
-CordDetector::sharerRemove(Addr addr, CoreId core)
-{
-    if (!trackSharers_)
-        return;
-    const Addr la = lineAddr(addr);
-    std::uint64_t *m = sharers_.find(la);
-    if (!m)
-        return;
-    *m &= ~(std::uint64_t(1) << core);
-    if (*m == 0)
-        sharers_.erase(la);
-}
-
-void
 CordDetector::snoop(CoreId core, Addr addr, bool isWrite, Ts64 clock,
                     SnoopResult &sr)
 {
     const std::uint16_t wbit =
         static_cast<std::uint16_t>(1u << wordInLine(addr));
-    const auto probe = [&](CoreId oc) {
-        LineState *ls = caches_[oc].find(addr);
-        if (!ls)
-            return;
+    histories_.forEachRemote(core, addr, [&](CoreId oc, LineState &ls) {
         sr.anyRemoteLine = true;
         ++sr.remoteSharers;
         if (oc < 64)
             sr.remoteSharerMask |= std::uint64_t(1) << oc;
         // The probed transaction clears remote check-filter bits: the
         // remote cache can no longer assume the line is conflict-free.
-        ls->filterW = false;
+        ls.filterW = false;
         if (isWrite)
-            ls->filterR = false;
-        for (const Entry &e : ls->e) {
+            ls.filterR = false;
+        for (const Entry &e : ls.e) {
             if (!e.valid)
                 continue;
             if (!withinWindow(clock, e.ts))
@@ -178,61 +145,10 @@ CordDetector::snoop(CoreId core, Addr addr, bool isWrite, Ts64 clock,
             if (e.writeBits != 0 && !isSynchronized(clock, e.ts, cfg_.d))
                 sr.lineClearForRead = false;
         }
-    };
-    if (trackSharers_) {
-        // Directory-style point-to-point probes: visit exactly the
-        // sharer set, in ascending core order -- the same cores, in
-        // the same order, a broadcast scan would have found resident,
-        // so the result is bit-identical to the broadcast path.
-        const std::uint64_t *mp = sharers_.find(lineAddr(addr));
-        std::uint64_t m = mp ? *mp : 0;
-        m &= ~(std::uint64_t(1) << core);
-        while (m != 0) {
-            probe(static_cast<CoreId>(std::countr_zero(m)));
-            m &= m - 1;
-        }
-    } else {
-        for (CoreId oc = 0; oc < cfg_.numCores; ++oc)
-            if (oc != core)
-                probe(oc);
-    }
+    });
     // A write filter requires sole ownership (MESI M/E): any fetch of
     // the line by another core goes on the bus and clears it again.
     sr.lineClearForWrite = !sr.anyRemoteLine;
-}
-
-void
-CordDetector::invalidateRemote(CoreId core, Addr addr, Tick now)
-{
-    const auto dropAt = [&](CoreId oc) {
-        const bool dropped = caches_[oc].invalidate(
-            addr, [&](Addr, LineState &st) {
-                foldIntoMemTs(st, addr, now, FoldCause::Invalidation);
-            });
-        if (dropped) {
-            sharerRemove(addr, oc);
-            coherenceInvalidations_.inc();
-            if (EventTracer *t = EventTracer::active())
-                t->emit(TraceEventKind::HistoryDisplacement, now,
-                        kInvalidThread, oc, addr, 0);
-        }
-    };
-    if (trackSharers_) {
-        // Directed invalidations: only sharers can drop anything, and
-        // ascending-order iteration keeps the fold sequence identical
-        // to the full scan.
-        const std::uint64_t *mp = sharers_.find(lineAddr(addr));
-        std::uint64_t m = mp ? *mp : 0;
-        m &= ~(std::uint64_t(1) << core);
-        while (m != 0) {
-            dropAt(static_cast<CoreId>(std::countr_zero(m)));
-            m &= m - 1;
-        }
-    } else {
-        for (CoreId oc = 0; oc < cfg_.numCores; ++oc)
-            if (oc != core)
-                dropAt(oc);
-    }
 }
 
 void
@@ -242,17 +158,15 @@ CordDetector::timestampLocal(CoreId core, Addr addr, bool isWrite,
 {
     const std::uint16_t wbit =
         static_cast<std::uint16_t>(1u << wordInLine(addr));
-    LineState &ls = caches_[core].getOrInsert(
-        addr, [&](Addr victimAddr, LineState &st) {
+    LineState &ls = histories_.getOrInsert(
+        core, addr, [&](Addr victimAddr, LineState &st) {
             foldIntoMemTs(st, victimAddr, now,
                           FoldCause::LineDisplacement);
-            sharerRemove(victimAddr, core);
             lineDisplacements_.inc();
             if (EventTracer *t = EventTracer::active())
                 t->emit(TraceEventKind::HistoryDisplacement, now,
                         kInvalidThread, core, victimAddr, 0);
         });
-    sharerAdd(addr, core);
 
     // Find an entry already carrying this clock value.
     Entry *slot = nullptr;
@@ -350,7 +264,7 @@ CordDetector::runWalker(Tick now)
         // point for history-cache occupancy; it evicts entries, never
         // lines, so the lines it visits are the resident ones.
         std::size_t resident = 0;
-        caches_[c].forEach([&](Addr lineA, LineState &ls) {
+        histories_.forEach(c, [&](Addr lineA, LineState &ls) {
             ++resident;
             for (unsigned i = 0; i < cfg_.entriesPerLine; ++i) {
                 Entry &e = ls.e[i];
@@ -398,7 +312,7 @@ CordDetector::onAccess(const MemEvent &ev)
         lastTid_[ev.core] = ev.tid;
     }
 
-    LineState *local = caches_[ev.core].find(ev.addr);
+    LineState *local = histories_.find(ev.core, ev.addr);
     const bool localHit = local != nullptr;
 
     // Does this access need a race check on the bus?
@@ -498,10 +412,20 @@ CordDetector::onAccess(const MemEvent &ev)
     if (newClock != wr.clock())
         commitClockChange(wr, newClock, ev.instrCount - 1, ev);
 
-    // Coherence: a committed write invalidates all remote copies,
-    // folding their histories into the main-memory timestamps.
-    if (isW)
-        invalidateRemote(ev.core, ev.addr, ev.tick);
+    // Coherence: a committed write invalidates all remote copies
+    // (MESI BusRdX), folding their histories into the main-memory
+    // timestamps.
+    if (isW) {
+        histories_.invalidateRemote(
+            ev.core, ev.addr, [&](CoreId oc, LineState &st) {
+                foldIntoMemTs(st, ev.addr, ev.tick,
+                              FoldCause::Invalidation);
+                coherenceInvalidations_.inc();
+                if (EventTracer *t = EventTracer::active())
+                    t->emit(TraceEventKind::HistoryDisplacement, ev.tick,
+                            kInvalidThread, oc, ev.addr, 0);
+            });
+    }
 
     timestampLocal(ev.core, ev.addr, isW, newClock,
                    needCheck ? &sr : nullptr, ev.tick);

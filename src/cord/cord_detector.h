@@ -5,6 +5,9 @@
  * line with per-word access bits, check-filter bits, main-memory
  * timestamps, sync-read clock updates with margin D, and a cache walker
  * bounding timestamp staleness for the 16-bit sliding window.
+ * Race checks and a write's invalidations visit only the remote caches
+ * holding the line (HistoryDirectory, cord/history_cache.h); coherence
+ * changes only the bus charge: a broadcast, or one probe per sharer.
  */
 
 #ifndef CORD_CORD_CORD_DETECTOR_H
@@ -20,7 +23,6 @@
 #include "cord/order_log.h"
 #include "mem/geometry.h"
 #include "mem/machine_config.h"
-#include "sim/flat_map.h"
 #include "sim/stats.h"
 #include "sim/types.h"
 
@@ -57,16 +59,6 @@ struct CordConfig
     unsigned memTsBanks = 1;
 
     /**
-     * Probe only the directory's exact sharer set on a race check
-     * instead of scanning every remote core.  Detection is provably
-     * identical (non-sharers contribute nothing to a snoop); false is
-     * the broadcast-scan ablation used to cross-check that claim.
-     * Sharer-set tracking needs numCores <= 64; larger machines fall
-     * back to the broadcast scan automatically.
-     */
-    bool sharerProbes = true;
-
-    /**
      * Derive geometry from the machine: numCores, numThreads, and
      * memTs banking (one bank per directory slice on Directory
      * machines, the paper's single replicated pair under snooping).
@@ -82,9 +74,6 @@ struct CordConfig
 
     /** Clock bump by D on thread migration (Section 2.7.4). */
     bool migrationIncrement = true;
-
-    /** Whether to record the order log (always on in the paper). */
-    bool recordOrder = true;
 
     /** Cache-walker period, in observed access events (Section 2.7.5). */
     std::uint64_t walkPeriodEvents = 4096;
@@ -189,9 +178,9 @@ class CordDetector : public Detector
         std::uint64_t remoteSharerMask = 0;
     };
 
-    /** Race check for (core, word): a broadcast snoop under snooping,
-     *  a directory-forwarded point-to-point probe of the exact sharer
-     *  set when sharer tracking is on -- bit-identical results.
+    /** Race check for (core, word) against the remote sharers'
+     *  histories (a broadcast snoop under snooping, point-to-point
+     *  probes under a directory; the same answer either way).
      *  Accumulates into @p sr, which must be default-constructed. */
     void snoop(CoreId core, Addr addr, bool isWrite, Ts64 clock,
                SnoopResult &sr);
@@ -203,16 +192,9 @@ class CordDetector : public Detector
     void foldIntoMemTs(const LineState &ls, Addr lineA, Tick now,
                        FoldCause cause);
 
-    /** Sharer-set directory maintenance (numCores <= 64 machines). */
-    void sharerAdd(Addr addr, CoreId core);
-    void sharerRemove(Addr addr, CoreId core);
-
     /** Insert the committed access into the local history. */
     void timestampLocal(CoreId core, Addr addr, bool isWrite, Ts64 clock,
                         const SnoopResult *snoopRes, Tick now);
-
-    /** Invalidate remote copies on a committed write (MESI BusRdX). */
-    void invalidateRemote(CoreId core, Addr addr, Tick now);
 
     /** Periodic stale-timestamp eviction (Section 2.7.5). */
     void runWalker(Tick now);
@@ -230,7 +212,7 @@ class CordDetector : public Detector
     CordConfig cfg_;
     CordTrafficSink *sink_ = nullptr;
 
-    std::vector<HistoryCache<LineState>> caches_; //!< one per core
+    HistoryDirectory<LineState> histories_;       //!< per-core + sharers
     std::vector<OrderLogWriter> writers_;         //!< one per thread
     std::vector<bool> threadDone_;
     std::vector<ThreadId> lastTid_;               //!< per core, migration
@@ -239,12 +221,6 @@ class CordDetector : public Detector
     std::vector<Ts64> memReadTs_;  //!< one per bank (directory slice)
     std::vector<Ts64> memWriteTs_;
     unsigned memTsBanks_ = 1;
-
-    /** Line -> bitmask of cores whose history cache holds the line
-     *  (the directory's sharer set); maintained only when
-     *  cfg_.sharerProbes and numCores <= 64. */
-    FlatAddrMap<std::uint64_t> sharers_;
-    bool trackSharers_ = false;
 
     /** Accesses left until the next periodic walk; counting down
      *  fires on every walkPeriodEvents-th access, like a modulo. */

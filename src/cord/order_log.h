@@ -89,9 +89,9 @@ class OrderLogWriter
 
     /** Bind to the log and set the thread's initial clock. */
     void
-    begin(OrderLog *log, ThreadId tid, Ts64 initialClock)
+    begin(OrderLog &log, ThreadId tid, Ts64 initialClock)
     {
-        log_ = log;
+        log_ = &log;
         tid_ = tid;
         clock_ = initialClock;
         fragmentStart_ = 0;
@@ -111,8 +111,7 @@ class OrderLogWriter
                     newClock, " vs ", clock_);
         cord_assert(instrBoundary >= fragmentStart_,
                     "instruction boundary went backwards");
-        if (log_)
-            log_->append(tid_, clock_, instrBoundary - fragmentStart_);
+        log_->append(tid_, clock_, instrBoundary - fragmentStart_);
         clock_ = newClock;
         fragmentStart_ = instrBoundary;
     }
@@ -121,7 +120,7 @@ class OrderLogWriter
     void
     finish(std::uint64_t totalInstrs)
     {
-        if (log_ && totalInstrs > fragmentStart_)
+        if (totalInstrs > fragmentStart_)
             log_->append(tid_, clock_, totalInstrs - fragmentStart_);
         fragmentStart_ = totalInstrs;
     }

@@ -7,19 +7,13 @@ namespace cord
 
 VcDetector::VcDetector(const VcConfig &cfg, std::string name)
     : Detector(std::move(name)), cfg_(cfg),
+      histories_(cfg.numCores, cfg.infiniteResidency, cfg.residency),
       memReadVc_(cfg.numThreads), memWriteVc_(cfg.numThreads)
 {
     cord_assert(cfg_.numCores > 0 && cfg_.numThreads > 0,
                 "VC detector needs at least one core and one thread");
     cord_assert(cfg_.entriesPerLine >= 1 && cfg_.entriesPerLine <= 2,
                 "one or two timestamps per line");
-    caches_.reserve(cfg_.numCores);
-    for (unsigned i = 0; i < cfg_.numCores; ++i) {
-        if (cfg_.infiniteResidency)
-            caches_.emplace_back();
-        else
-            caches_.emplace_back(cfg_.residency);
-    }
     vc_.reserve(cfg_.numThreads);
     for (ThreadId t = 0; t < cfg_.numThreads; ++t) {
         vc_.emplace_back(cfg_.numThreads);
@@ -51,24 +45,13 @@ VcDetector::foldIntoMemVc(const LineState &ls)
 }
 
 void
-VcDetector::invalidateRemote(CoreId core, Addr addr)
-{
-    for (CoreId oc = 0; oc < cfg_.numCores; ++oc) {
-        if (oc == core)
-            continue;
-        caches_[oc].invalidate(
-            addr, [&](Addr, LineState &st) { foldIntoMemVc(st); });
-    }
-}
-
-void
 VcDetector::timestampLocal(CoreId core, Addr addr, bool isWrite,
                            const VectorClock &tvc)
 {
     const std::uint16_t wbit =
         static_cast<std::uint16_t>(1u << wordInLine(addr));
-    LineState &ls = caches_[core].getOrInsert(
-        addr, [&](Addr, LineState &st) {
+    LineState &ls = histories_.getOrInsert(
+        core, addr, [&](Addr, LineState &st) {
             foldIntoMemVc(st);
             lineDisplacements_.inc();
         });
@@ -117,18 +100,13 @@ VcDetector::onAccess(const MemEvent &ev)
         static_cast<std::uint16_t>(1u << wordInLine(ev.addr));
 
     VectorClock &tvc = vc_[ev.tid];
-    const bool localHit = caches_[ev.core].find(ev.addr) != nullptr;
+    const bool localHit = histories_.find(ev.core, ev.addr) != nullptr;
 
     // Snoop remote histories for conflicts on this word.
     bool anyRemoteLine = false;
-    for (CoreId oc = 0; oc < cfg_.numCores; ++oc) {
-        if (oc == ev.core)
-            continue;
-        LineState *ls = caches_[oc].find(ev.addr);
-        if (!ls)
-            continue;
+    histories_.forEachRemote(ev.core, ev.addr, [&](CoreId, LineState &ls) {
         anyRemoteLine = true;
-        for (const Entry &e : ls->e) {
+        for (const Entry &e : ls.e) {
             if (!e.valid)
                 continue;
             const bool conflicts =
@@ -153,7 +131,7 @@ VcDetector::onAccess(const MemEvent &ev)
                 tvc.join(e.vc);
             }
         }
-    }
+    });
 
     // Line supplied by memory: consult the memory vector timestamps,
     // never reporting races found this way.
@@ -169,7 +147,9 @@ VcDetector::onAccess(const MemEvent &ev)
     }
 
     if (isW)
-        invalidateRemote(ev.core, ev.addr);
+        histories_.invalidateRemote(
+            ev.core, ev.addr,
+            [&](CoreId, LineState &st) { foldIntoMemVc(st); });
 
     timestampLocal(ev.core, ev.addr, isW, tvc);
 

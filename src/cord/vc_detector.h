@@ -10,7 +10,9 @@
  * The structure mirrors CordDetector but comparisons use exact vector
  * ordering instead of scalar clocks with margin D.  Like CORD, data
  * races discovered through the (vector) main-memory timestamp are
- * suppressed to avoid false positives.
+ * suppressed to avoid false positives.  Histories live in the same
+ * HistoryDirectory (cord/history_cache.h) as CORD's, so a check and a
+ * write's invalidations visit only the remote caches holding the line.
  */
 
 #ifndef CORD_CORD_VC_DETECTOR_H
@@ -100,12 +102,11 @@ class VcDetector : public Detector
     /** Join a displaced entry into the memory vector timestamps. */
     void foldIntoMemVc(const Entry &e);
     void foldIntoMemVc(const LineState &ls);
-    void invalidateRemote(CoreId core, Addr addr);
     void timestampLocal(CoreId core, Addr addr, bool isWrite,
                         const VectorClock &vc);
 
     VcConfig cfg_;
-    std::vector<HistoryCache<LineState>> caches_;
+    HistoryDirectory<LineState> histories_;
     std::vector<VectorClock> vc_;
     VectorClock memReadVc_;
     VectorClock memWriteVc_;

@@ -8,12 +8,10 @@
 
 #include <gtest/gtest.h>
 
-#include <bit>
 #include <vector>
 
 #include "cord/cord_detector.h"
 #include "cord/ideal_detector.h"
-#include "cord/log_codec.h"
 #include "cord/replay.h"
 #include "harness/runner.h"
 #include "mem/timing_mem.h"
@@ -108,87 +106,6 @@ TEST(Directory, ReplayWorksAcrossCoherenceKinds)
     ASSERT_TRUE(repOut.completed);
     for (unsigned t = 0; t < 4; ++t)
         EXPECT_EQ(repOut.readChecksums[t], out.readChecksums[t]);
-}
-
-/** Captures every race-check / memTs charge a CordDetector emits, so
- *  tests can compare the probe stream of two configurations. */
-struct RecordingSink final : CordTrafficSink
-{
-    struct Check
-    {
-        unsigned sharers;
-        std::uint64_t mask;
-    };
-    std::vector<Check> checks;
-    std::uint64_t memTsUpdates = 0;
-
-    void
-    raceCheck(Tick, Addr, unsigned sharers, std::uint64_t mask) override
-    {
-        checks.push_back({sharers, mask});
-    }
-
-    void
-    memTsBroadcast(Tick, FoldCause, Addr) override
-    {
-        ++memTsUpdates;
-    }
-};
-
-TEST(Directory, SharerProbesMatchBroadcastScan)
-{
-    // Point-to-point directory probes are a cost model, not a detection
-    // change: the sharer set the directory forwards to must be exactly
-    // the set of caches the broadcast scan would have probed.  Run both
-    // configurations over the same committed access stream and demand
-    // identical races, identical order logs, and a probe-for-probe
-    // identical charge sequence.
-    MachineConfig m;
-    m.numCores = 16;
-    m.coherence = CoherenceKind::Directory;
-
-    const CordConfig probeCfg = CordConfig::forMachine(m, 16);
-    ASSERT_TRUE(probeCfg.sharerProbes);
-    CordConfig bcastCfg = probeCfg;
-    bcastCfg.sharerProbes = false; // ablation: scan every cache
-
-    CordDetector probe(probeCfg);
-    CordDetector bcast(bcastCfg);
-    RecordingSink probeSink;
-    RecordingSink bcastSink;
-    probe.setTrafficSink(&probeSink);
-    bcast.setTrafficSink(&bcastSink);
-
-    RunSetup s;
-    s.workload = "fft";
-    s.params.numThreads = 16;
-    s.params.seed = 7;
-    s.machine = m;
-    s.detectors = {&probe, &bcast};
-    const RunOutcome out = runWorkload(s);
-    ASSERT_TRUE(out.completed);
-
-    EXPECT_EQ(probe.races().pairs(), bcast.races().pairs());
-    EXPECT_EQ(encodeOrderLog(probe.orderLog()),
-              encodeOrderLog(bcast.orderLog()))
-        << "probe routing must not perturb order recording";
-
-    ASSERT_EQ(probeSink.checks.size(), bcastSink.checks.size());
-    ASSERT_FALSE(probeSink.checks.empty());
-    for (std::size_t i = 0; i < probeSink.checks.size(); ++i) {
-        const auto &p = probeSink.checks[i];
-        const auto &b = bcastSink.checks[i];
-        EXPECT_EQ(p.sharers, b.sharers)
-            << "check " << i << ": the directory's sharer set must "
-            << "match the broadcast scan";
-        EXPECT_EQ(static_cast<unsigned>(std::popcount(p.mask)),
-                  p.sharers)
-            << "check " << i << ": one mask bit per probed core";
-        EXPECT_EQ(b.mask, p.mask)
-            << "check " << i << ": a broadcast scan discovers exactly "
-            << "the cores the directory would have probed";
-    }
-    EXPECT_EQ(probeSink.memTsUpdates, bcastSink.memTsUpdates);
 }
 
 TEST(Directory, GeometryMismatchIsRejectedAtSetup)

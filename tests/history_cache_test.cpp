@@ -2,14 +2,19 @@
  * @file
  * Unit tests for the detector residency model (cord/history_cache.h):
  * finite vs unbounded storage, eviction callbacks (the main-memory
- * timestamp fold point), and invalidation.
+ * timestamp fold point), invalidation, and the sharer index of
+ * HistoryDirectory.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "cord/history_cache.h"
+#include "sim/rng.h"
 
 namespace cord
 {
@@ -140,6 +145,105 @@ TEST(HistoryCache, RecencyGoverned)
     EXPECT_EQ(evicted.count(1 * kLineBytes), 1u);
     EXPECT_NE(c.find(0), nullptr);
 }
+
+/** One HistoryDirectory configuration under random calls. */
+struct DirectoryCase
+{
+    unsigned cores;
+    bool infinite;
+};
+
+void
+PrintTo(const DirectoryCase &c, std::ostream *os)
+{
+    *os << c.cores << (c.infinite ? "_infinite" : "_finite");
+}
+
+class HistoryDirectoryIndex : public ::testing::TestWithParam<DirectoryCase>
+{
+};
+
+TEST_P(HistoryDirectoryIndex, SharersMatchResidencyScan)
+{
+    // The sharer index must equal a scan of every core's cache after
+    // every call, and remote sharers must be visited in ascending core
+    // order.  The scan of every cache is the reference.  Few lines,
+    // many cores and (finite case) two ways per set keep lines shared
+    // and victims frequent; 72 cores spill past one 64-core mask.
+    const DirectoryCase dc = GetParam();
+    HistoryDirectory<State> dir(dc.cores, dc.infinite,
+                                CacheGeometry{256, 64, 2}); // 2 sets
+    Rng rng(dc.cores * 2 + (dc.infinite ? 1 : 0));
+    constexpr unsigned kLines = 8;
+    auto lineOf = [](std::uint64_t l) {
+        return Addr{0x4000} + static_cast<Addr>(l) * kLineBytes;
+    };
+    auto remoteOf = [&](CoreId self, Addr a) {
+        std::vector<CoreId> visited;
+        dir.forEachRemote(self, a,
+                          [&](CoreId c, State &) { visited.push_back(c); });
+        return visited;
+    };
+    auto scanOf = [&](CoreId self, Addr a) {
+        std::vector<CoreId> resident;
+        for (unsigned c = 0; c < dc.cores; ++c)
+            if (c != self && dir.find(static_cast<CoreId>(c), a))
+                resident.push_back(static_cast<CoreId>(c));
+        return resident;
+    };
+
+    std::uint64_t victims = 0, drops = 0;
+    for (int step = 0; step < 3000; ++step) {
+        const auto core = static_cast<CoreId>(rng.below(dc.cores));
+        const Addr a = lineOf(rng.below(kLines)) + rng.below(16) * 4;
+        switch (rng.below(4)) {
+        case 0:
+        case 1:
+            dir.getOrInsert(core, a, [&](Addr, State &) { ++victims; });
+            break;
+        case 2:
+            dir.invalidate(core, a, [&](Addr, State &) { ++drops; });
+            break;
+        default: {
+            const std::vector<CoreId> before = scanOf(core, a);
+            std::vector<CoreId> dropped;
+            dir.invalidateRemote(core, a, [&](CoreId c, State &) {
+                dropped.push_back(c);
+            });
+            EXPECT_EQ(dropped, before) << "step " << step;
+            EXPECT_TRUE(scanOf(core, a).empty()) << "step " << step;
+            break;
+        }
+        }
+        // Two selves per line cover every core's bit: each one's own
+        // bit is seen from the other.
+        const auto other = static_cast<CoreId>((core + 1) % dc.cores);
+        for (unsigned l = 0; l < kLines; ++l) {
+            for (CoreId self : {core, other}) {
+                const std::vector<CoreId> visited = remoteOf(self, lineOf(l));
+                ASSERT_EQ(visited, scanOf(self, lineOf(l)))
+                    << "step " << step << ", line " << l << ", self "
+                    << self;
+                ASSERT_TRUE(std::is_sorted(visited.begin(), visited.end()));
+            }
+        }
+    }
+    EXPECT_GT(drops, 0u);
+    if (dc.infinite)
+        EXPECT_EQ(victims, 0u);
+    else
+        EXPECT_GT(victims, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Cores, HistoryDirectoryIndex,
+    ::testing::Values(DirectoryCase{4, false}, DirectoryCase{4, true},
+                      DirectoryCase{16, false}, DirectoryCase{16, true},
+                      DirectoryCase{72, false}, DirectoryCase{72, true}),
+    [](const ::testing::TestParamInfo<DirectoryCase> &p) {
+        return std::to_string(p.param.cores) +
+               (p.param.infinite ? "_infinite" : "_finite");
+    });
 
 } // namespace
 } // namespace cord
