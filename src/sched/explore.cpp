@@ -43,10 +43,9 @@ runOneSchedule(const ExploreSpec &spec, unsigned index,
     TraceRecorder recorder;
     std::unique_ptr<CordDetector> cord;
     if (spec.withCord) {
-        CordConfig cc;
+        CordConfig cc =
+            CordConfig::forMachine(spec.machine, spec.params.numThreads);
         cc.d = spec.cordD;
-        cc.numCores = spec.machine.numCores;
-        cc.numThreads = spec.params.numThreads;
         cord = std::make_unique<CordDetector>(cc);
     }
 

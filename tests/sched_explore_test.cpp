@@ -105,6 +105,38 @@ TEST(BaselineEquivalence, ScheduleZeroSignatureMatchesPlainRun)
     EXPECT_EQ(res.runs[0].ticks, plain.ticks);
 }
 
+TEST(BaselineEquivalence, ScheduleZeroCordMatchesPlainRunOnDirectory)
+{
+    // An explored run's CORD takes its geometry from the machine like
+    // every other driver's: on a directory machine that means one
+    // memory-timestamp bank per slice, so schedule 0 reports exactly
+    // the races of the plain run of the same configuration.
+    ExploreSpec spec;
+    spec.workload = "barnes";
+    spec.params.numThreads = 16;
+    spec.params.scale = 1;
+    spec.params.seed = 3;
+    spec.params.includeKnownRaces = true;
+    spec.machine.numCores = 16;
+    spec.machine.coherence = CoherenceKind::Directory;
+    spec.schedules = 1;
+    const ExploreResult res = exploreSchedules(spec);
+    ASSERT_EQ(res.runs.size(), 1u);
+
+    RunSetup setup;
+    setup.workload = spec.workload;
+    setup.params = spec.params;
+    setup.machine = spec.machine;
+    CordConfig cc = CordConfig::forMachine(setup.machine, 16);
+    cc.d = spec.cordD;
+    CordDetector cord(cc);
+    setup.detectors = {&cord};
+    const RunOutcome plain = runWorkload(setup);
+    ASSERT_TRUE(plain.completed);
+    EXPECT_EQ(res.runs[0].ticks, plain.ticks);
+    EXPECT_EQ(res.runs[0].cordRacePairs, cord.races().pairs());
+}
+
 class ScheduleReplay : public ::testing::TestWithParam<const char *>
 {
 };
