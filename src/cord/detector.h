@@ -14,12 +14,19 @@
  * onThreadEnd and before finish.  Timing-coupled detectors and runs
  * under an active EventTracer get each access as it commits.  Nothing
  * may read detector state while a simulation is running.
+ *
+ * In a forked campaign child (harness/trunk.h) the spec detectors sit
+ * behind a SuffixGate: they get the child's suffix late -- once Ideal
+ * reports a race or the gate's log fills -- or, in a run Ideal never
+ * flags, never, and then get no finish() either.  The stream they do
+ * get keeps the contract above.
  */
 
 #ifndef CORD_CORD_DETECTOR_H
 #define CORD_CORD_DETECTOR_H
 
 #include <cstdint>
+#include <span>
 #include <string>
 
 #include "cord/race_report.h"
@@ -90,6 +97,16 @@ class Detector
 
     /** Observe one committed access. */
     virtual void onAccess(const MemEvent &ev) = 0;
+
+    /** Observe committed accesses @p evs, in order: the simulation's
+     *  batch entry point, so each detector runs over a whole batch
+     *  while its metadata stays host-cache hot. */
+    virtual void
+    onAccesses(std::span<const MemEvent> evs)
+    {
+        for (const MemEvent &ev : evs)
+            onAccess(ev);
+    }
 
     /** A thread finished after retiring @p totalInstrs instructions. */
     virtual void onThreadEnd(ThreadId tid, std::uint64_t totalInstrs) {}

@@ -375,8 +375,7 @@ Simulation::flushDetectors()
     // Detector by detector, so each one's metadata stays host-cache
     // hot across the whole batch.
     for (Detector *d : detectors_)
-        for (const MemEvent &ev : batch_)
-            d->onAccess(ev);
+        d->onAccesses(batch_);
     batch_.clear();
 }
 

@@ -106,7 +106,10 @@ class Simulation : public CordTrafficSink
      * accesses always precede its end and finish() has seen them all.
      * A timing-coupled detector (setTimingCord) or an active
      * EventTracer makes delivery per access.  Nothing may read
-     * detector state while run() is in progress.
+     * detector state while run() is in progress.  A detector may
+     * itself hold the stream back and pass it on later, as the
+     * forked campaign's SuffixGate (harness/trunk.h) does for the
+     * spec detectors: they then get a child's suffix late or never.
      */
     void addDetector(Detector *d);
 

@@ -204,8 +204,9 @@ struct CampaignResult
  * Two fan-outs give identical results (docs/INTERNALS.md §5).  With
  * schedules == 1, no onRunDone and no recordTrace, the runs fork from
  * one trunk run at their picked instances (harness/trunk.h); a child
- * that dies fails the campaign with a std::runtime_error naming the
- * injection.  Otherwise every run is simulated from the start on a
+ * feeds the specs its suffix only once its Ideal reports a race, and a
+ * child that dies fails the campaign with a std::runtime_error naming
+ * the injection.  Otherwise every run is simulated from the start on a
  * thread pool.
  */
 CampaignResult runCampaign(const CampaignConfig &cfg,

@@ -89,10 +89,12 @@ class Trunk final : public SyncInstanceFilter
 {
   public:
     Trunk(const std::vector<InjectionPick> &picks, unsigned numThreads,
-          unsigned jobs, std::size_t specs, FlightRecorder *flight)
+          unsigned jobs, std::size_t specs, SuffixGate &gate,
+          FlightRecorder *flight)
         : jobs_(jobs), specs_(specs),
           recordBytes_(recordWords(specs) * sizeof(std::uint64_t)),
-          flight_(flight), byThread_(numThreads), cursor_(numThreads, 0)
+          gate_(gate), flight_(flight), byThread_(numThreads),
+          cursor_(numThreads, 0)
     {
         std::map<std::pair<ThreadId, std::uint64_t>, std::size_t> index;
         for (unsigned i = 0; i < picks.size(); ++i) {
@@ -280,6 +282,7 @@ class Trunk final : public SyncInstanceFilter
                 ::close(c.fd);
             live_.clear();
             flight_ = nullptr;
+            gate_.park();
             childFd_ = fds[1];
             childStart_ = start;
             return true;
@@ -378,6 +381,7 @@ class Trunk final : public SyncInstanceFilter
     const std::size_t jobs_;
     const std::size_t specs_;
     const std::size_t recordBytes_;
+    SuffixGate &gate_;
     FlightRecorder *flight_;
 
     std::vector<Slot> slots_;         //!< one per distinct pick
@@ -399,6 +403,77 @@ class Trunk final : public SyncInstanceFilter
 
 } // namespace
 
+SuffixGate::SuffixGate(const Detector &trigger,
+                       std::vector<Detector *> inner)
+    : Detector("suffix-gate"), trigger_(trigger), inner_(std::move(inner))
+{
+}
+
+void
+SuffixGate::park()
+{
+    parked_ = true;
+    log_.reserve(kLogBound);
+}
+
+bool
+SuffixGate::holds(std::size_t more)
+{
+    if (parked_ && (trigger_.races().pairs() > 0 ||
+                    log_.size() + more > kLogBound))
+        release();
+    return parked_;
+}
+
+void
+SuffixGate::release()
+{
+    parked_ = false;
+    // Detector by detector, as Simulation::flushDetectors delivers.
+    for (Detector *d : inner_) {
+        std::size_t from = 0;
+        for (const ThreadEnd &e : ends_) {
+            d->onAccesses(std::span(log_).subspan(from, e.at - from));
+            d->onThreadEnd(e.tid, e.instrs);
+            from = e.at;
+        }
+        d->onAccesses(std::span(log_).subspan(from));
+    }
+    log_.clear();
+    ends_.clear();
+}
+
+void
+SuffixGate::onAccesses(std::span<const MemEvent> evs)
+{
+    if (holds(evs.size())) {
+        log_.insert(log_.end(), evs.begin(), evs.end());
+        return;
+    }
+    for (Detector *d : inner_)
+        d->onAccesses(evs);
+}
+
+void
+SuffixGate::onThreadEnd(ThreadId tid, std::uint64_t totalInstrs)
+{
+    if (holds(0)) {
+        ends_.push_back({log_.size(), tid, totalInstrs});
+        return;
+    }
+    for (Detector *d : inner_)
+        d->onThreadEnd(tid, totalInstrs);
+}
+
+void
+SuffixGate::finish()
+{
+    if (holds(0))
+        return;
+    for (Detector *d : inner_)
+        d->finish();
+}
+
 RunRecord
 makeRunRecord(const RunOutcome &out, const Detector &ideal,
               const std::vector<std::unique_ptr<Detector>> &dets,
@@ -410,7 +485,7 @@ makeRunRecord(const RunOutcome &out, const Detector &ideal,
     r.signature = out.interleavingSignature;
     r.ideal = tally(ideal);
     for (const auto &d : dets)
-        r.dets.push_back(tally(*d));
+        r.dets.push_back(r.ideal.problem ? tally(*d) : RaceTally{});
     r.wallSec = wallSec;
     return r;
 }
@@ -426,17 +501,20 @@ runTrunk(const RunSetup &base, const std::vector<DetectorSpec> &specs,
                 "the campaign trunk forks, so no harness ThreadPool may "
                 "be alive");
     const unsigned threads = base.params.numThreads;
-    Trunk trunk(picks, threads, resolveJobs(jobs), specs.size(), flight);
     IdealDetector ideal(threads);
     std::vector<std::unique_ptr<Detector>> dets;
-    for (const DetectorSpec &spec : specs)
+    std::vector<Detector *> inner;
+    for (const DetectorSpec &spec : specs) {
         dets.push_back(spec.make(base.machine, threads));
+        inner.push_back(dets.back().get());
+    }
+    SuffixGate gate(ideal, std::move(inner));
+    Trunk trunk(picks, threads, resolveJobs(jobs), specs.size(), gate,
+                flight);
 
     RunSetup setup = base;
     setup.filter = &trunk;
-    setup.detectors = {&ideal};
-    for (auto &d : dets)
-        setup.detectors.push_back(d.get());
+    setup.detectors = {&ideal, &gate}; // Ideal first: it is the trigger
 
     const Clock::time_point t0 = Clock::now();
     RunOutcome out;

@@ -12,6 +12,12 @@
  * instance and continues.  C++20 coroutine frames cannot be copied, so
  * the process image is the snapshot.
  *
+ * A child computes only what the merge reads.  The merge reads the
+ * spec detectors' tallies only of runs Ideal flags, so the child parks
+ * the trunk's SuffixGate: the spec detectors get the suffix only once
+ * the child's Ideal reports a race (or the gate's log fills), and a
+ * run that ends unflagged never feeds them at all.
+ *
  * Child contract: a child never returns into the caller.  Everything
  * it does after the fork ends in _exit -- status 0 after writing its
  * full record, non-zero after an exception -- and it writes nothing
@@ -30,8 +36,10 @@
 #ifndef CORD_HARNESS_TRUNK_H
 #define CORD_HARNESS_TRUNK_H
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "harness/experiments.h"
@@ -55,14 +63,74 @@ struct RunRecord
     Tick ticks = 0;
     std::uint64_t signature = 0; //!< RunOutcome::interleavingSignature
     RaceTally ideal;
-    std::vector<RaceTally> dets; //!< parallel to the spec list
+    /** Parallel to the spec list.  The spec detectors' tallies only
+     *  when ideal.problem; all zero otherwise, on both fan-outs (a
+     *  forked child's parked SuffixGate never fed them its suffix). */
+    std::vector<RaceTally> dets;
     double wallSec = 0.0;        //!< host seconds (heartbeat only)
 };
 
-/** The record of a run that just ended. */
+/** The record of a run that just ended; zeroes dets unless @p ideal
+ *  reported a race. */
 RunRecord makeRunRecord(const RunOutcome &out, const Detector &ideal,
                         const std::vector<std::unique_ptr<Detector>> &dets,
                         double wallSec);
+
+/**
+ * The spec detectors of a forked campaign, behind one Detector that
+ * the trunk attaches after Ideal.  In the trunk it forwards every call
+ * unchanged.  A child parks it at the fork: it then logs the delivered
+ * accesses and thread ends, and releases -- replays the log to each
+ * inner detector in turn, then forwards again -- as soon as the
+ * trigger (the run's Ideal) has reported a race, or before the log
+ * would grow past kLogBound accesses.  A run that ends parked never
+ * feeds the inner detectors its suffix, nor their finish().
+ *
+ * Detectors are pure observers of one committed stream, so a released
+ * gate leaves the inner detectors exactly as direct delivery would.
+ * The trigger is read at every call, so it must see each batch before
+ * the gate does (attach it first).
+ */
+class SuffixGate final : public Detector
+{
+  public:
+    /** Accesses the log holds at most: 3 MiB of MemEvent, more than
+     *  any clean benchmark run commits, so only hung runs fill it. */
+    static constexpr std::size_t kLogBound = std::size_t{1} << 16;
+
+    /** Neither @p trigger nor @p inner is owned. */
+    SuffixGate(const Detector &trigger, std::vector<Detector *> inner);
+
+    void onAccess(const MemEvent &ev) override { onAccesses({&ev, 1}); }
+    void onAccesses(std::span<const MemEvent> evs) override;
+    void onThreadEnd(ThreadId tid, std::uint64_t totalInstrs) override;
+    void finish() override;
+
+    /** Hold every later call back until the trigger fires. */
+    void park();
+
+    bool parked() const { return parked_; }
+
+  private:
+    /** Release if the trigger fired or @p more accesses would overfill
+     *  the log.  @return true while still parked */
+    bool holds(std::size_t more);
+
+    void release();
+
+    struct ThreadEnd
+    {
+        std::size_t at; //!< accesses logged before it
+        ThreadId tid;
+        std::uint64_t instrs;
+    };
+
+    const Detector &trigger_;
+    std::vector<Detector *> inner_;
+    bool parked_ = false;
+    std::vector<MemEvent> log_;
+    std::vector<ThreadEnd> ends_;
+};
 
 /** Everything runTrunk() returns to the campaign. */
 struct TrunkResult

@@ -1,9 +1,10 @@
 /**
  * @file
  * The forked campaign fan-out (harness/trunk.h): its results equal
- * fresh runs field by field, duplicate picks share one child, and a
- * child that crashes, throws or sends a short record fails the
- * campaign loudly without a single run counted or a child left behind.
+ * fresh runs field by field, with flagged and unflagged children alike,
+ * duplicate picks share one child, and a child that crashes, throws or
+ * sends a short record fails the campaign loudly without a single run
+ * counted or a child left behind.
  */
 
 #include <gtest/gtest.h>
@@ -79,7 +80,7 @@ campaignSpecs()
 
 TEST(CampaignFork, MatchesFreshRuns)
 {
-    for (const char *workload : {"lu", "kvstore"}) {
+    for (const char *workload : {"lu", "kvstore", "barnes"}) {
         for (const unsigned jobs : {1u, 4u}) {
             SCOPED_TRACE(std::string(workload) + " at jobs " +
                          std::to_string(jobs));
@@ -91,6 +92,11 @@ TEST(CampaignFork, MatchesFreshRuns)
             if (std::string(workload) == "lu") {
                 EXPECT_GT(forked.timeouts, 0u)
                     << "lu must cover children that hit the watchdog";
+            } else {
+                // Both kinds of child: flagged ones release their
+                // parked spec detectors, unflagged ones never feed them.
+                EXPECT_GT(forked.manifested, 0u);
+                EXPECT_LT(forked.manifested, forked.scheduleRuns);
             }
         }
     }
@@ -246,10 +252,25 @@ childFaultSpec(Fault fault)
             }};
 }
 
-/** runCampaign's exception message; "" if it returned. */
+/** An fft campaign whose first 8 injections all manifest. */
+CampaignConfig
+faultCampaign(unsigned injections, unsigned jobs)
+{
+    CampaignConfig cfg = campaignOf("fft", injections, jobs);
+    cfg.seed = 119;
+    return cfg;
+}
+
+/** runCampaign's exception message; "" if it returned.  Every run of
+ *  @p cfg must be flagged: a child feeds its spec detectors -- here
+ *  the faulting one -- only once Ideal reports a race. */
 std::string
 campaignFailure(const CampaignConfig &cfg, Fault fault)
 {
+    const CampaignResult flagged =
+        runCampaign(fresh(cfg), campaignSpecs());
+    EXPECT_EQ(flagged.manifested, flagged.injections)
+        << "an unflagged run would never reach the fault";
     const pid_t self = ::getpid();
     try {
         runCampaign(cfg, {childFaultSpec(fault)});
@@ -284,7 +305,7 @@ class CampaignForkFault : public ::testing::Test
 TEST_F(CampaignForkFault, CrashedChildFailsTheCampaign)
 {
     const std::string msg =
-        campaignFailure(campaignOf("fft", 1, 1), Fault::Abort);
+        campaignFailure(faultCampaign(1, 1), Fault::Abort);
     EXPECT_NE(msg.find("injection 0 "), std::string::npos) << msg;
     EXPECT_NE(msg.find("killed by signal " + std::to_string(SIGABRT)),
               std::string::npos)
@@ -293,7 +314,7 @@ TEST_F(CampaignForkFault, CrashedChildFailsTheCampaign)
 
     // Several children in flight: still a failure, none left behind.
     const std::string many =
-        campaignFailure(campaignOf("fft", 8, 4), Fault::Abort);
+        campaignFailure(faultCampaign(8, 4), Fault::Abort);
     EXPECT_NE(many.find("failed in its forked child"), std::string::npos)
         << many;
     EXPECT_TRUE(noChildren());
@@ -302,7 +323,7 @@ TEST_F(CampaignForkFault, CrashedChildFailsTheCampaign)
 TEST_F(CampaignForkFault, ExceptionInChildNeverUnwindsIntoCaller)
 {
     const std::string msg =
-        campaignFailure(campaignOf("fft", 3, 1), Fault::Throw);
+        campaignFailure(faultCampaign(3, 1), Fault::Throw);
     EXPECT_NE(msg.find("exited with status 70"), std::string::npos)
         << msg;
     EXPECT_TRUE(noChildren());
@@ -311,7 +332,7 @@ TEST_F(CampaignForkFault, ExceptionInChildNeverUnwindsIntoCaller)
 TEST_F(CampaignForkFault, ShortRecordFailsTheCampaign)
 {
     const std::string msg =
-        campaignFailure(campaignOf("fft", 1, 1), Fault::Exit);
+        campaignFailure(faultCampaign(1, 1), Fault::Exit);
     EXPECT_NE(msg.find("injection 0 "), std::string::npos) << msg;
     EXPECT_NE(msg.find("sent a record of 0 bytes"), std::string::npos)
         << msg;
@@ -321,7 +342,7 @@ TEST_F(CampaignForkFault, ShortRecordFailsTheCampaign)
 TEST_F(CampaignForkFault, FreshRunsNeverFault)
 {
     // The same detector is harmless where no process forks.
-    EXPECT_EQ(campaignFailure(fresh(campaignOf("fft", 3, 1)),
+    EXPECT_EQ(campaignFailure(fresh(faultCampaign(3, 1)),
                               Fault::Abort),
               "");
 }
