@@ -56,7 +56,6 @@
 #include <vector>
 
 #include "analysis/lint.h"
-#include "cord/log_codec.h"
 #include "harness/exec.h"
 #include "harness/experiments.h"
 #include "harness/table.h"
@@ -310,17 +309,7 @@ attachLintObserver(CampaignConfig &cfg)
                 dynamic_cast<const CordDetector *>(det.get());
             if (!cord)
                 continue;
-            const std::vector<std::uint8_t> wire =
-                encodeOrderLog(cord->orderLog());
-            DecodedTrace trace;
-            trace.events = view.trace->events();
-            trace.threadEnds = view.trace->threadEnds();
-            LintInput in;
-            in.wireLog = &wire;
-            in.trace = &trace;
-            in.onlineReport = &cord->races();
-            in.cordConfig = cord->config();
-            const LintReport rep = runLint(in);
+            const LintReport rep = lintCordRun(*cord, *view.trace);
             if (rep.errors() > 0 || rep.warnings() > 0) {
                 std::fputs(rep.renderText().c_str(), stderr);
                 cord_fatal("cordlint failed for ", app,

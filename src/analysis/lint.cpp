@@ -4,6 +4,7 @@
 #include <sstream>
 
 #include "analysis/epoch_analyzer.h"
+#include "cord/log_codec.h"
 
 namespace cord
 {
@@ -63,6 +64,23 @@ runLint(const LintInput &in)
     }
 
     return report;
+}
+
+LintReport
+lintCordRun(const CordDetector &cord, const TraceRecorder &trace,
+            unsigned numThreads)
+{
+    const std::vector<std::uint8_t> wire = encodeOrderLog(cord.orderLog());
+    DecodedTrace decoded;
+    decoded.events = trace.events();
+    decoded.threadEnds = trace.threadEnds();
+    LintInput in;
+    in.wireLog = &wire;
+    in.trace = &decoded;
+    in.onlineReport = &cord.races();
+    in.numThreads = numThreads;
+    in.cordConfig = cord.config();
+    return runLint(in);
 }
 
 } // namespace cord

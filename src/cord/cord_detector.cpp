@@ -112,9 +112,6 @@ CordDetector::snoop(CoreId core, Addr addr, bool isWrite, Ts64 clock,
         static_cast<std::uint16_t>(1u << wordInLine(addr));
     histories_.forEachRemote(core, addr, [&](CoreId oc, LineState &ls) {
         sr.anyRemoteLine = true;
-        ++sr.remoteSharers;
-        if (oc < 64)
-            sr.remoteSharerMask |= std::uint64_t(1) << oc;
         // The probed transaction clears remote check-filter bits: the
         // remote cache can no longer assume the line is conflict-free.
         ls.filterW = false;
@@ -343,9 +340,13 @@ CordDetector::onAccess(const MemEvent &ev)
                     kInvalidThread, ev.core, ev.addr, isW);
         // A check from a cache hit is extra address/timestamp-bus
         // traffic; a miss's check piggybacks on the miss transaction.
-        if (localHit && sink_)
-            sink_->raceCheck(ev.tick, ev.addr, sr.remoteSharers,
-                             sr.remoteSharerMask);
+        if (localHit && sink_) {
+            probes_.clear();
+            histories_.forEachSharer(ev.core, ev.addr, [&](CoreId oc) {
+                probes_.push_back(oc);
+            });
+            sink_->raceCheck(ev.tick, ev.addr, probes_);
+        }
         memServed = !localHit && !sr.anyRemoteLine;
     }
 

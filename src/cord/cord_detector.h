@@ -171,11 +171,6 @@ class CordDetector : public Detector
         bool lineClearForWrite = true; //!< no remote history at all in line
         std::array<Ts64, 64> conflictTs; //!< individual conflicting ts
         unsigned numConflicts = 0;
-        unsigned remoteSharers = 0;    //!< remote caches probed (p2p cost)
-        /** Bitmask of the probed cores (bits for cores < 64) -- lets
-         *  the timing sink route each forwarded probe to its target's
-         *  own slice channel instead of serializing on the home. */
-        std::uint64_t remoteSharerMask = 0;
     };
 
     /** Race check for (core, word) against the remote sharers'
@@ -211,6 +206,9 @@ class CordDetector : public Detector
 
     CordConfig cfg_;
     CordTrafficSink *sink_ = nullptr;
+    /** The remote sharers of a charged race check, filled only while
+     *  a sink is bound (reused, so charging never allocates). */
+    std::vector<CoreId> probes_;
 
     HistoryDirectory<LineState> histories_;       //!< per-core + sharers
     std::vector<OrderLogWriter> writers_;         //!< one per thread

@@ -60,16 +60,12 @@ class CordTrafficSink
      * A race check request (address/timestamp bus, no data).  Under
      * snooping it is a broadcast; a directory machine routes it to
      * @p addr's home slice, which forwards one point-to-point probe
-     * per remote sharer (@p sharers is the exact remote-sharer count
-     * the directory would forward to -- 0 when the home slice answers
-     * from its banked memory timestamps alone).  @p sharerMask names
-     * the probed cores (bits for cores < 64) so the probes can be
-     * charged to each target's own channel; a zero mask with a
-     * nonzero count means the sharer identities are unknown (machines
-     * beyond 64 cores) and the sink may serialize conservatively.
+     * per remote sharer.  @p sharers names exactly the cores the
+     * directory would forward to, in ascending order (empty when the
+     * home slice answers from its banked memory timestamps alone).
      */
-    virtual void raceCheck(Tick now, Addr addr, unsigned sharers,
-                           std::uint64_t sharerMask) = 0;
+    virtual void raceCheck(Tick now, Addr addr,
+                           std::span<const CoreId> sharers) = 0;
 
     /** A main-memory timestamp update: broadcast under snooping, a
      *  directed update of @p addr's home slice bank under a directory;

@@ -270,19 +270,6 @@ class HistoryDirectory
         caches_[core].forEach(fn);
     }
 
-  private:
-    static Addr key(Addr a, CoreId core) { return lineAddr(a) | core / 64; }
-    static std::uint64_t bit(CoreId core) { return 1ull << core % 64; }
-
-    void
-    dropSharer(Addr a, CoreId core)
-    {
-        std::uint64_t *m = index_.find(key(a, core));
-        cord_assert(m && (*m & bit(core)), "sharer index lost ", core);
-        if ((*m &= ~bit(core)) == 0)
-            index_.erase(key(a, core));
-    }
-
     /** fn(core) per sharer other than @p self, ascending; each group's
      *  mask is copied first, so @p fn may drop the visited copy. */
     template <typename Fn>
@@ -297,6 +284,19 @@ class HistoryDirectory
             for (; m != 0; m &= m - 1)
                 fn(static_cast<CoreId>(g * 64 + std::countr_zero(m)));
         }
+    }
+
+  private:
+    static Addr key(Addr a, CoreId core) { return lineAddr(a) | core / 64; }
+    static std::uint64_t bit(CoreId core) { return 1ull << core % 64; }
+
+    void
+    dropSharer(Addr a, CoreId core)
+    {
+        std::uint64_t *m = index_.find(key(a, core));
+        cord_assert(m && (*m & bit(core)), "sharer index lost ", core);
+        if ((*m &= ~bit(core)) == 0)
+            index_.erase(key(a, core));
     }
 
     std::vector<HistoryCache<StateT>> caches_; //!< one per core

@@ -150,11 +150,10 @@ class Simulation : public CordTrafficSink
 
     /// @{ @name CordTrafficSink: charge CORD traffic to the buses
     void
-    raceCheck(Tick now, Addr addr, unsigned sharers,
-              std::uint64_t sharerMask) override
+    raceCheck(Tick now, Addr addr,
+              std::span<const CoreId> sharers) override
     {
-        cordCharges_.check.add(
-            mem_.chargeRaceCheck(now, addr, sharers, sharerMask));
+        cordCharges_.check.add(mem_.chargeRaceCheck(now, addr, sharers));
     }
 
     void

@@ -1,6 +1,5 @@
 #include "mem/timing_mem.h"
 
-#include <bit>
 #include <optional>
 
 #include "obs/tracer.h"
@@ -187,8 +186,8 @@ TimingMemSystem::access(CoreId core, Addr addr, bool isWrite, Tick now)
 }
 
 Tick
-TimingMemSystem::chargeRaceCheck(Tick now, Addr addr, unsigned sharers,
-                                 std::uint64_t sharerMask)
+TimingMemSystem::chargeRaceCheck(Tick now, Addr addr,
+                                 std::span<const CoreId> sharers)
 {
     if (cfg_.coherence != CoherenceKind::Directory) {
         // Snooping: one broadcast address/timestamp bus transaction;
@@ -210,22 +209,12 @@ TimingMemSystem::chargeRaceCheck(Tick now, Addr addr, unsigned sharers,
     BusChannel &slice = sliceBus_[homeSlice(addr)];
     const Tick grant = slice.acquire(now);
     Tick cycles = slice.occupancy();
-    if (sharerMask != 0) {
-        for (std::uint64_t m = sharerMask; m != 0; m &= m - 1) {
-            const unsigned target =
-                static_cast<unsigned>(std::countr_zero(m));
-            if (target >= sliceBus_.size())
-                continue;
-            sliceBus_[target].acquire(grant + cfg_.directoryLatency);
-            cycles += sliceBus_[target].occupancy();
-        }
-    } else {
-        // Sharer identities unknown (machines beyond 64 cores):
-        // serialize the probes at the home port, conservatively.
-        for (unsigned i = 0; i < sharers; ++i) {
-            slice.acquire(grant + cfg_.directoryLatency);
-            cycles += slice.occupancy();
-        }
+    for (const CoreId target : sharers) {
+        cord_assert(target < sliceBus_.size(), "bad probe target ",
+                    target);
+        BusChannel &probe = sliceBus_[target];
+        probe.acquire(grant + cfg_.directoryLatency);
+        cycles += probe.occupancy();
     }
     return cycles;
 }

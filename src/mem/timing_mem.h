@@ -15,6 +15,7 @@
 #define CORD_MEM_TIMING_MEM_H
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "mem/bus.h"
@@ -70,15 +71,14 @@ class TimingMemSystem
      * Charge one CORD race-check request (no data transfer -- paper
      * Section 2.7.2).  Snooping: a single broadcast transaction on the
      * shared address/timestamp bus.  Directory: a request on @p addr's
-     * home-slice channel, which the directory answers with @p sharers
-     * point-to-point probes, one on each probed core's own slice
-     * channel (@p sharerMask names the targets; a zero mask with a
-     * nonzero count serializes the probes at the home port) -- the
-     * cost scales with the sharer set, never with the core count.
+     * home-slice channel, which the directory answers with one
+     * point-to-point probe per core in @p sharers, each on that core's
+     * own slice channel -- the cost scales with the sharer set, never
+     * with the core count.
      * @return bus cycles consumed by the charge (overhead attribution)
      */
-    Tick chargeRaceCheck(Tick now, Addr addr, unsigned sharers,
-                         std::uint64_t sharerMask = 0);
+    Tick chargeRaceCheck(Tick now, Addr addr,
+                         std::span<const CoreId> sharers = {});
 
     /**
      * Charge one memory-timestamp update (paper Section 2.5): a

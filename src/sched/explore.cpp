@@ -41,13 +41,10 @@ runOneSchedule(const ExploreSpec &spec, unsigned index,
     RemoveOneInstance filter(spec.pick);
     IdealDetector ideal(spec.params.numThreads);
     TraceRecorder recorder;
-    std::unique_ptr<CordDetector> cord;
-    if (spec.withCord) {
-        CordConfig cc =
-            CordConfig::forMachine(spec.machine, spec.params.numThreads);
-        cc.d = spec.cordD;
-        cord = std::make_unique<CordDetector>(cc);
-    }
+    CordConfig cc =
+        CordConfig::forMachine(spec.machine, spec.params.numThreads);
+    cc.d = spec.cordD;
+    CordDetector cord(cc);
 
     RunSetup setup;
     setup.workload = spec.workload;
@@ -57,8 +54,7 @@ runOneSchedule(const ExploreSpec &spec, unsigned index,
         setup.filter = &filter;
     setup.maxTicks = spec.maxTicks;
     setup.detectors.push_back(&ideal);
-    if (cord)
-        setup.detectors.push_back(cord.get());
+    setup.detectors.push_back(&cord);
     if (spec.recordTrace)
         setup.detectors.push_back(&recorder);
     setup.sched = &policy;
@@ -72,8 +68,7 @@ runOneSchedule(const ExploreSpec &spec, unsigned index,
     r.ticks = out.ticks;
     r.signature = out.interleavingSignature;
     r.idealRacePairs = ideal.races().pairs();
-    if (cord)
-        r.cordRacePairs = cord->races().pairs();
+    r.cordRacePairs = cord.races().pairs();
     r.idealRacyWords.assign(ideal.races().words().begin(),
                             ideal.races().words().end());
     r.readChecksums = out.readChecksums;

@@ -50,8 +50,7 @@ struct ExploreSpec
      *  a bound even without an injected deadlock). */
     Tick maxTicks = 0;
 
-    /** Attach a CORD detector (margin @ref cordD) to every run. */
-    bool withCord = true;
+    /** Margin D of the CORD detector attached to every run. */
     std::uint32_t cordD = 16;
 
     /** Record the access trace of the baseline run into

@@ -2,6 +2,7 @@
  * @file
  * The forked campaign fan-out (harness/trunk.h): its results equal
  * fresh runs field by field, with flagged and unflagged children alike,
+ * a detector scores the same whatever other detectors ride along,
  * duplicate picks share one child, and a child that crashes, throws or
  * sends a short record fails the campaign loudly without a single run
  * counted or a child left behind.
@@ -54,8 +55,9 @@ fresh(CampaignConfig cfg)
     return cfg;
 }
 
+/** Every field that does not depend on the spec detectors. */
 void
-expectSameResult(const CampaignResult &a, const CampaignResult &b)
+expectSameIdealFields(const CampaignResult &a, const CampaignResult &b)
 {
     EXPECT_EQ(a.injections, b.injections);
     EXPECT_EQ(a.schedules, b.schedules);
@@ -65,11 +67,17 @@ expectSameResult(const CampaignResult &a, const CampaignResult &b)
     EXPECT_EQ(a.totalInstances, b.totalInstances);
     EXPECT_EQ(a.cleanIdealRaces, b.cleanIdealRaces);
     EXPECT_EQ(a.timedOutRuns, b.timedOutRuns);
-    EXPECT_EQ(a.problems, b.problems);
-    EXPECT_EQ(a.rawRaces, b.rawRaces);
     EXPECT_EQ(a.idealRawRaces, b.idealRawRaces);
     EXPECT_EQ(a.distinctSignatures, b.distinctSignatures);
     EXPECT_EQ(a.manifestedCum, b.manifestedCum);
+}
+
+void
+expectSameResult(const CampaignResult &a, const CampaignResult &b)
+{
+    expectSameIdealFields(a, b);
+    EXPECT_EQ(a.problems, b.problems);
+    EXPECT_EQ(a.rawRaces, b.rawRaces);
 }
 
 std::vector<DetectorSpec>
@@ -97,6 +105,47 @@ TEST(CampaignFork, MatchesFreshRuns)
                 // parked spec detectors, unflagged ones never feed them.
                 EXPECT_GT(forked.manifested, 0u);
                 EXPECT_LT(forked.manifested, forked.scheduleRuns);
+            }
+        }
+    }
+}
+
+TEST(CampaignFork, SpecUnionMatchesEachFiguresSubset)
+{
+    // bench_detection reads Figures 10 and 12-17 off one campaign that
+    // carries the union of their detectors.  Each figure's detectors
+    // alone (Figures 12/13 label their D = 16 CORD "CORD") must score
+    // exactly as they do inside the union.
+    const std::vector<DetectorSpec> all = {
+        cordSpec(1),      cordSpec(4),     cordSpec(16),  cordSpec(256),
+        vcInfCacheSpec(), vcL2CacheSpec(), vcL1CacheSpec()};
+    const std::vector<std::vector<DetectorSpec>> subsets = {
+        {},
+        {cordSpec(16, "CORD"), vcL2CacheSpec()},
+        {vcInfCacheSpec(), vcL2CacheSpec(), vcL1CacheSpec()},
+        {cordSpec(1), cordSpec(4), cordSpec(16), cordSpec(256),
+         vcL2CacheSpec()}};
+    for (const char *workload : {"fft", "barnes"}) {
+        for (const bool forked : {true, false}) {
+            SCOPED_TRACE(std::string(workload) +
+                         (forked ? " forked" : " fresh"));
+            CampaignConfig cfg = campaignOf(workload, 8, 2);
+            if (!forked)
+                cfg = fresh(cfg);
+            const CampaignResult u = runCampaign(cfg, all);
+            EXPECT_GT(u.manifested, 0u);
+            for (const auto &specs : subsets) {
+                const CampaignResult s = runCampaign(cfg, specs);
+                expectSameIdealFields(s, u);
+                EXPECT_EQ(s.problems.size(), specs.size());
+                EXPECT_EQ(s.rawRaces.size(), specs.size());
+                for (const DetectorSpec &spec : specs) {
+                    const std::string l =
+                        spec.label == "CORD" ? "CORD-D16" : spec.label;
+                    SCOPED_TRACE(spec.label);
+                    EXPECT_EQ(s.problems.at(spec.label), u.problems.at(l));
+                    EXPECT_EQ(s.rawRaces.at(spec.label), u.rawRaces.at(l));
+                }
             }
         }
     }

@@ -19,6 +19,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <span>
+#include <vector>
 
 #include "cord/cord_detector.h"
 
@@ -498,7 +500,7 @@ TEST(CordScenario, TrafficSinkReceivesRaceChecks)
     {
         unsigned checks = 0;
         unsigned memTs = 0;
-        void raceCheck(Tick, Addr, unsigned, std::uint64_t) override
+        void raceCheck(Tick, Addr, std::span<const CoreId>) override
         {
             ++checks;
         }
@@ -517,6 +519,37 @@ TEST(CordScenario, TrafficSinkReceivesRaceChecks)
     EXPECT_GT(sink.checks, 0u);
     EXPECT_GT(sink.memTs, 0u);
     f.det().setTrafficSink(nullptr);
+}
+
+TEST(CordScenario, TrafficSinkNamesSharersPast64Cores)
+{
+    // A charged check names every remote sharer, cores >= 64 included.
+    struct Sink : CordTrafficSink
+    {
+        std::vector<std::vector<CoreId>> checks;
+        void raceCheck(Tick, Addr, std::span<const CoreId> sharers) override
+        {
+            checks.emplace_back(sharers.begin(), sharers.end());
+        }
+        void memTsBroadcast(Tick, FoldCause, Addr) override {}
+    };
+    CordConfig cfg = config(16);
+    cfg.numCores = 72;
+    cfg.numThreads = 3;
+    Feeder f(cfg);
+    Sink sink;
+    f.det().setTrafficSink(&sink);
+    f.access(0, X, AccessKind::DataWrite, 0);
+    f.access(0, L, AccessKind::SyncWrite, 0);
+    f.access(1, L, AccessKind::SyncRead, 3);
+    f.access(1, X, AccessKind::DataRead, 3);
+    f.access(2, L, AccessKind::SyncRead, 70);
+    f.access(2, X, AccessKind::DataRead, 70);
+    const std::size_t before = sink.checks.size();
+    f.access(0, X, AccessKind::DataWrite, 0); // hit: charged
+    f.det().setTrafficSink(nullptr);
+    ASSERT_EQ(sink.checks.size(), before + 1);
+    EXPECT_EQ(sink.checks.back(), (std::vector<CoreId>{3, 70}));
 }
 
 } // namespace

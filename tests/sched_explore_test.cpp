@@ -96,7 +96,6 @@ TEST(BaselineEquivalence, ScheduleZeroSignatureMatchesPlainRun)
     spec.params.scale = 1;
     spec.params.seed = 9;
     spec.schedules = 2;
-    spec.withCord = false;
     const ExploreResult res = exploreSchedules(spec);
     ASSERT_EQ(res.runs.size(), 2u);
 
@@ -154,7 +153,6 @@ TEST_P(ScheduleReplay, EveryExploredScheduleReplaysExactly)
     spec.params.seed = 13;
     spec.schedules = 3;
     spec.sched.kind = SchedKind::Perturb;
-    spec.withCord = false;
 
     const ExploreResult res = exploreSchedules(spec);
     ASSERT_EQ(res.runs.size(), spec.schedules);
@@ -192,7 +190,6 @@ TEST(ScheduleReplayPct, PctScheduleReplaysExactly)
     spec.params.seed = 3;
     spec.schedules = 2;
     spec.sched.kind = SchedKind::Pct;
-    spec.withCord = false;
 
     const ExploreResult res = exploreSchedules(spec);
     ASSERT_EQ(res.runs.size(), 2u);
@@ -218,7 +215,6 @@ TEST(ScheduleReplayDivergence, WrongConfigurationDiverges)
     spec.params.seed = 21;
     spec.schedules = 2;
     spec.sched.kind = SchedKind::Perturb;
-    spec.withCord = false;
     const ExploreResult res = exploreSchedules(spec);
     ASSERT_TRUE(res.runs[1].completed);
 
@@ -242,7 +238,6 @@ TEST(Explore, DeterministicAcrossJobCounts)
     spec.params.seed = 17;
     spec.schedules = 4;
     spec.sched.kind = SchedKind::Perturb;
-    spec.withCord = false;
 
     spec.jobs = 1;
     const ExploreResult seq = exploreSchedules(spec);
@@ -268,7 +263,6 @@ TEST(Explore, AggregatesAreConsistent)
     spec.params.seed = 2;
     spec.schedules = 4;
     spec.sched.kind = SchedKind::Perturb;
-    spec.withCord = false;
     const ExploreResult res = exploreSchedules(spec);
 
     ASSERT_EQ(res.racingCum.size(), spec.schedules);

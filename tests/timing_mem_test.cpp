@@ -123,18 +123,39 @@ TEST(TimingMem, RaceCheckAndMemTsChargesAddrBusOnly)
 {
     TimingMemSystem m(cfg());
     const std::uint64_t data0 = m.dataBus().transactions();
-    m.chargeRaceCheck(0, 0x40000, 2);
+    const CoreId sharers[] = {1, 2};
+    m.chargeRaceCheck(0, 0x40000, sharers);
     m.chargeMemTsBroadcast(10, 0x40000);
     EXPECT_EQ(m.addrBus().transactions(), 2u);
     EXPECT_EQ(m.dataBus().transactions(), data0);
+}
+
+TEST(TimingMem, DirectoryProbesChargeEachSharersSlicePast64Cores)
+{
+    MachineConfig c = cfg();
+    c.coherence = CoherenceKind::Directory;
+    c.numCores = 72;
+    TimingMemSystem m(c);
+    // Slice s homes line s (line-interleaved); the check homes on 10.
+    auto slice = [&](unsigned s) -> const BusChannel & {
+        return m.sliceBus(Addr(s) * kLineBytes);
+    };
+    const CoreId sharers[] = {3, 70};
+    m.chargeRaceCheck(0, Addr(10) * kLineBytes, sharers);
+    for (unsigned s = 0; s < c.numCores; ++s) {
+        const bool charged = s == 3 || s == 10 || s == 70;
+        EXPECT_EQ(slice(s).transactions(), charged ? 1u : 0u)
+            << "slice " << s;
+    }
 }
 
 TEST(TimingMem, AddrBusContentionDelaysMisses)
 {
     TimingMemSystem m(cfg());
     // Saturate the address bus with race checks, then issue a miss.
+    const CoreId sharer[] = {1};
     for (int i = 0; i < 100; ++i)
-        m.chargeRaceCheck(0, 0x30000, 1);
+        m.chargeRaceCheck(0, 0x30000, sharer);
     const TimingResult r = m.access(0, 0x30000, false, 0);
     EXPECT_GT(r.completion, cfg().memoryLatency + 500u)
         << "miss must queue behind the check burst";

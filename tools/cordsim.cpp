@@ -6,8 +6,8 @@
  * set and prints a run summary: races found by each detector, order
  * log statistics, memory-system behaviour and (optionally) a replay
  * verification pass.  With --campaign N it instead runs a full
- * injection campaign (N uniform sync removals, as the bench_fig*
- * binaries do), optionally spread over --jobs parallel jobs with
+ * injection campaign (N uniform sync removals, as bench_detection
+ * does), optionally spread over --jobs parallel jobs with
  * bit-identical results for any job count.  With --explore N it runs
  * the same configuration under N schedules (schedule 0 = baseline;
  * docs/SCHEDULING.md), and --replay-sched re-executes a schedule
@@ -416,8 +416,8 @@ makeSpec(const Options &opt)
 
 /**
  * --campaign mode: a full injection campaign of the selected workload
- * (the same experiment the bench_fig* binaries run per app), spread
- * over --jobs parallel jobs.  With --explore M every injection is run
+ * (the same experiment bench_detection runs per app), spread over
+ * --jobs parallel jobs.  With --explore M every injection is run
  * under M schedules.  With --lint every completed run's artifacts are
  * checked; exit 1 on any finding.
  */
@@ -470,17 +470,7 @@ runCampaignMode(const Options &opt)
                                  opt.logPath + tag + ".ordlog");
                 if (!opt.lint)
                     continue;
-                const std::vector<std::uint8_t> wire =
-                    encodeOrderLog(cordDet->orderLog());
-                DecodedTrace decoded;
-                decoded.events = view.trace->events();
-                decoded.threadEnds = view.trace->threadEnds();
-                LintInput lin;
-                lin.wireLog = &wire;
-                lin.trace = &decoded;
-                lin.onlineReport = &cordDet->races();
-                lin.cordConfig = cordDet->config();
-                const LintReport rep = runLint(lin);
+                const LintReport rep = lintCordRun(*cordDet, *view.trace);
                 if (rep.errors() > 0 || rep.warnings() > 0) {
                     std::fputs(rep.renderText().c_str(), stderr);
                     std::fprintf(stderr,
@@ -979,19 +969,7 @@ main(int argc, char **argv)
     std::string lintVerdict = "skipped";
     int lintExit = 0;
     if (opt.lint && out.completed) {
-        const std::vector<std::uint8_t> wire =
-            encodeOrderLog(cord.orderLog());
-        DecodedTrace decoded;
-        decoded.events = trace.events();
-        decoded.threadEnds = trace.threadEnds();
-
-        LintInput lin;
-        lin.wireLog = &wire;
-        lin.trace = &decoded;
-        lin.onlineReport = &cord.races();
-        lin.numThreads = opt.threads;
-        lin.cordConfig = cc;
-        const LintReport lint = runLint(lin);
+        const LintReport lint = lintCordRun(cord, trace, opt.threads);
         std::printf("---- cordlint ----\n%s",
                     lint.renderText().c_str());
         lintVerdict = lint.errors() > 0 ? "findings" : "clean";
