@@ -4,14 +4,16 @@
  * application list, command-line flags, environment-variable
  * overrides, and campaign helpers.
  *
- * Command-line flags (parseArgs; all binaries accept them):
+ * Command-line flags (parseArgs).  Each binary names the flags it
+ * reads; any other argument exits 2 with a usage line listing only
+ * that binary's flags.
  *   --jobs N         run campaign injections (and per-app perf points)
  *                    on N worker threads (harness/exec.h); 0 = one per
  *                    hardware thread.  Results are bit-identical for
  *                    every N given the same seed.
  *   --manifest FILE  write a deterministic cord-manifest-v1 document
  *                    with every campaign's metrics (cordstat-readable)
- *   --json           print result tables as JSON (where supported)
+ *   --json           print result tables as JSON
  *   --repeat N       timed repetitions per measurement (median-of-N
  *                    reporting; N >= 1, default 5)
  *   --warmup N       untimed warmup repetitions before measuring
@@ -51,8 +53,11 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <initializer_list>
+#include <iterator>
 #include <limits>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "analysis/lint.h"
@@ -70,7 +75,7 @@ namespace cord
 namespace bench
 {
 
-/** Options every bench binary accepts (see the file comment). */
+/** The bench flags' values (see the file comment). */
 struct BenchArgs
 {
     std::string tool = "bench";  //!< basename of argv[0]
@@ -157,12 +162,26 @@ campaignSeed()
     return Rng::deriveSeed(baseSeed(), kBenchCampaignSeedTag);
 }
 
+/** A flag parseArgs knows, and its value's name in usage lines. */
+struct BenchFlag
+{
+    std::string_view name;
+    const char *value; //!< nullptr: the flag takes no value
+};
+
+inline constexpr BenchFlag kBenchFlags[] = {
+    {"--jobs", "N"},       {"--manifest", "FILE"}, {"--json", nullptr},
+    {"--repeat", "N"},     {"--warmup", "N"},      {"--perf-out", "FILE"},
+    {"--load", "N"}};
+
 /**
- * Parse the shared bench flags.  Call first thing in main; exits with
- * usage on unknown arguments.  --jobs defaults to CORD_JOBS (else 1).
+ * Parse the bench flags named in @p reads (the ones the calling binary
+ * reads).  Call first thing in main; any other argument exits 2 with a
+ * usage line listing @p reads.  --jobs defaults to CORD_JOBS (else 1).
  */
 inline void
-parseArgs(int argc, char **argv)
+parseArgs(int argc, char **argv,
+          std::initializer_list<std::string_view> reads)
 {
     BenchArgs &a = args();
     a.start = std::chrono::steady_clock::now();
@@ -170,9 +189,23 @@ parseArgs(int argc, char **argv)
         const char *slash = std::strrchr(argv[0], '/');
         a.tool = slash ? slash + 1 : argv[0];
     }
+    std::string usage = "usage: " + a.tool;
+    for (const std::string_view flag : reads) {
+        const auto *f = std::find_if(
+            std::begin(kBenchFlags), std::end(kBenchFlags),
+            [&](const BenchFlag &k) { return k.name == flag; });
+        if (f == std::end(kBenchFlags))
+            cord_panic("parseArgs: unknown bench flag ", flag);
+        usage += " [" + std::string(flag) +
+                 (f->value ? std::string(" ") + f->value : "") + "]";
+    }
     a.jobs = defaultJobs();
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
+        if (std::find(reads.begin(), reads.end(), arg) == reads.end()) {
+            std::fprintf(stderr, "%s\n", usage.c_str());
+            std::exit(2);
+        }
         auto value = [&]() -> const char * {
             if (i + 1 >= argc) {
                 std::fprintf(stderr, "%s: %s needs a value\n",
@@ -194,15 +227,8 @@ parseArgs(int argc, char **argv)
             a.warmup = parseUnsignedOrExit(arg, value());
         } else if (arg == "--perf-out") {
             a.perfOutPath = value();
-        } else if (arg == "--load") {
+        } else { // --load
             a.load = parseUnsignedOrExit(arg, value(), 1);
-        } else {
-            std::fprintf(stderr,
-                         "usage: %s [--jobs N] [--manifest FILE]"
-                         " [--json] [--repeat N] [--warmup N]"
-                         " [--perf-out FILE] [--load N]\n",
-                         a.tool.c_str());
-            std::exit(2);
         }
     }
 }

@@ -1,10 +1,12 @@
 /**
  * @file
- * Figures 10 and 12-17 reproduction: one injection campaign per app
- * carries every detector the seven figures compare, and the seven
- * tables are read off that one result.  Detectors are passive
- * observers of the same committed stream, so each figure's numbers
- * equal those of a campaign carrying only its own detectors.
+ * Every detection table: Figures 10 and 12-17, the ablation of CORD's
+ * design choices and the sensitivity sweeps.  One injection campaign
+ * per app carries every detector the tables compare, each distinct
+ * configuration once, and every table is read off that one result.
+ * Detectors are passive observers of the same committed stream, so
+ * each table's numbers equal those of a campaign carrying only its
+ * own detectors.
  *
  * Paper findings, per figure:
  *   10  Many removals are redundant (e.g. a critical section
@@ -33,6 +35,17 @@
  *       (the paper's +62% problem-detection optimization, Section 2.6).
  *   17  The same D sweep for raw races: D = 1 loses most raw
  *       detection; raw rates improve with D up to 16.
+ *
+ * Beyond the paper's figures:
+ *   Ablation     the default CORD with one design choice undone: one
+ *                timestamp per line (Section 2.3, Figure 2's
+ *                history-erasure problem), no check-filter bits
+ *                (Section 2.7.2), no main-memory timestamps
+ *                (Section 2.5) and no thread-migration clock bump
+ *                (Section 2.7.4).
+ *   Sensitivity  CORD (D = 16) over history residency capacity (the
+ *                paper fixes 8KB L1 / 32KB L2), and over D at a finer
+ *                grain than Figure 16.
  */
 
 #include <cstdio>
@@ -180,7 +193,80 @@ figures()
         f16.columns.push_back(problemRate(h, "CORD-" + h, kVcL2));
         f17.columns.push_back(rawRate(h, "CORD-" + h, kVcL2));
     }
-    return {f10, f12, f13, f14, f15, f16, f17};
+
+    Figure ablation{"Ablation: problem detection vs Ideal", {}};
+    Figure ablationRaw{"Ablation: raw race detection vs Ideal", {}};
+    for (const std::string h :
+         {"CORD", "1-entry/line", "no-filters", "no-memTs",
+          "no-migration"}) {
+        const std::string label = h == "CORD" ? kCord : h;
+        ablation.columns.push_back(problemRate(h, label));
+        ablationRaw.columns.push_back(rawRate(h, label));
+    }
+    Figure capacity{"Sensitivity: problem detection vs Ideal over "
+                    "history capacity (D=16)",
+                    {}};
+    // The paper's 32KB L2 residency is the default CORD's.
+    for (const std::string h :
+         {"4KB", "8KB", "16KB", "32KB", "64KB", "inf"})
+        capacity.columns.push_back(
+            problemRate(h, h == "32KB" ? kCord : h));
+    Figure dSweep{"Sensitivity: problem detection vs Ideal over D "
+                  "(paper picks D=16)",
+                  {}};
+    for (const unsigned d : {1, 2, 4, 8, 16, 32, 64, 128}) {
+        const std::string h = "D" + std::to_string(d);
+        dSweep.columns.push_back(problemRate(h, "CORD-" + h));
+    }
+    return {f10, f12, f13, f14, f15, f16, f17,
+            ablation, ablationRaw, capacity, dSweep};
+}
+
+/**
+ * Every table's detectors, each distinct configuration once: CORD over
+ * D, the three vector-clock history limits, the ablation variants and
+ * the history capacities of the default (D = 16) CORD.
+ */
+std::vector<DetectorSpec>
+detectorSpecs()
+{
+    std::vector<DetectorSpec> specs;
+    for (const std::uint32_t d : {1, 2, 4, 8, 16, 32, 64, 128, 256})
+        specs.push_back(cordSpec(d));
+    specs.push_back(vcInfCacheSpec());
+    specs.push_back(vcL2CacheSpec());
+    specs.push_back(vcL1CacheSpec());
+
+    CordConfig c;
+    c.entriesPerLine = 1;
+    specs.push_back(cordSpecWith(c, "1-entry/line"));
+    c = {};
+    c.checkFilterBits = false;
+    specs.push_back(cordSpecWith(c, "no-filters"));
+    c = {};
+    c.memTimestamps = false;
+    specs.push_back(cordSpecWith(c, "no-memTs"));
+    c = {};
+    c.migrationIncrement = false;
+    specs.push_back(cordSpecWith(c, "no-migration"));
+
+    // Residency capacities beside the default 32KB/4-way L2.
+    struct Capacity
+    {
+        const char *label;
+        std::uint32_t kb;
+        std::uint32_t ways;
+    };
+    for (const Capacity &cap : {Capacity{"4KB", 4, 2}, {"8KB", 8, 2},
+                                {"16KB", 16, 4}, {"64KB", 64, 8}}) {
+        c = {};
+        c.residency = CacheGeometry{cap.kb * 1024, kLineBytes, cap.ways};
+        specs.push_back(cordSpecWith(c, cap.label));
+    }
+    c = {};
+    c.infiniteResidency = true;
+    specs.push_back(cordSpecWith(c, "inf"));
+    return specs;
 }
 
 void
@@ -211,13 +297,10 @@ printFigure(const Figure &fig, const Results &results)
 int
 main(int argc, char **argv)
 {
-    bench::parseArgs(argc, argv);
-    std::printf("CORD reproduction -- Figures 10, 12-17\n");
-    // The union of every figure's detectors; Figures 12/13 share
-    // Figure 16/17's D = 16 CORD.
-    const Results results = bench::runAllCampaigns(
-        {cordSpec(1), cordSpec(4), cordSpec(16), cordSpec(256),
-         vcInfCacheSpec(), vcL2CacheSpec(), vcL1CacheSpec()});
+    bench::parseArgs(argc, argv, {"--jobs", "--manifest", "--load"});
+    std::printf("CORD reproduction -- Figures 10, 12-17, ablation and "
+                "sensitivity\n");
+    const Results results = bench::runAllCampaigns(detectorSpecs());
     for (const Figure &fig : figures())
         printFigure(fig, results);
     return 0;

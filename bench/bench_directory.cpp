@@ -18,7 +18,7 @@ using namespace cord;
 int
 main(int argc, char **argv)
 {
-    bench::parseArgs(argc, argv);
+    bench::parseArgs(argc, argv, {"--jobs"});
     std::printf("CORD reproduction -- extension: directory coherence\n");
     TextTable t({"App", "Snoop base", "Snoop CORD", "Snoop rel",
                  "Dir base", "Dir CORD", "Dir rel"});

@@ -18,7 +18,7 @@ using namespace cord;
 int
 main(int argc, char **argv)
 {
-    bench::parseArgs(argc, argv);
+    bench::parseArgs(argc, argv, {"--jobs"});
     std::printf("CORD reproduction -- Figure 11\n");
     TextTable t({"App", "Baseline(cyc)", "CORD(cyc)", "Relative",
                  "RaceChecks", "MemTsUpd"});

@@ -62,7 +62,7 @@ replayMatches(const std::string &app, const WorkloadParams &params,
 int
 main(int argc, char **argv)
 {
-    bench::parseArgs(argc, argv);
+    bench::parseArgs(argc, argv, {"--jobs"});
     std::printf("CORD reproduction -- Section 3.3 (order log + replay)\n");
     TextTable t({"App", "LogEntries", "LogBytes", "B/kInstr",
                  "CleanReplay", "InjectedReplay"});

@@ -13,9 +13,9 @@
  * Each cell is the median of `--repeat` timed repetitions (after
  * `--warmup` untimed ones); every repetition constructs a fresh
  * detector so state never carries over and results stay bit-identical
- * to a single run.  Measurements are strictly sequential -- --jobs is
- * accepted but ignored here, because concurrent timing runs would
- * contend for the host CPU and poison each other's medians.
+ * to a single run.  Measurements are strictly sequential -- there is
+ * no --jobs here, because concurrent timing runs would contend for the
+ * host CPU and poison each other's medians.
  *
  * Writes a `BENCH_perf.json` run manifest (override with --perf-out)
  * with per-cell and aggregate rates.
@@ -133,7 +133,8 @@ fmtSec(double v)
 int
 main(int argc, char **argv)
 {
-    bench::parseArgs(argc, argv);
+    bench::parseArgs(argc, argv,
+                     {"--json", "--repeat", "--warmup", "--perf-out"});
     const bool json = bench::args().json;
     if (!json)
         std::printf("CORD reproduction -- kernel/detector host "

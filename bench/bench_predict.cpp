@@ -107,7 +107,8 @@ fmtNs(double v)
 int
 main(int argc, char **argv)
 {
-    bench::parseArgs(argc, argv);
+    bench::parseArgs(argc, argv,
+                     {"--json", "--repeat", "--warmup", "--perf-out"});
     if (!bench::args().json)
         std::printf("CORD reproduction -- offline analyzer throughput "
                     "(median of %u)\n",

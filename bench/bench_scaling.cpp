@@ -142,7 +142,8 @@ measurePoint(CoherenceKind coherence, unsigned cores,
 int
 main(int argc, char **argv)
 {
-    bench::parseArgs(argc, argv);
+    bench::parseArgs(argc, argv,
+                     {"--jobs", "--json", "--perf-out", "--load"});
     const bool json = bench::args().json;
     if (!json)
         std::printf("CORD reproduction -- many-core scaling study\n");

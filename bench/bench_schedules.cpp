@@ -29,7 +29,7 @@ using namespace cord;
 int
 main(int argc, char **argv)
 {
-    bench::parseArgs(argc, argv);
+    bench::parseArgs(argc, argv, {"--jobs", "--manifest", "--load"});
     if (bench::args().manifestPath.empty())
         bench::args().manifestPath = "BENCH_schedules.json";
     const unsigned schedules = bench::envUnsigned("CORD_SCHEDULES", 4);

@@ -111,7 +111,7 @@ measurePoint(const std::string &app, unsigned load)
 int
 main(int argc, char **argv)
 {
-    bench::parseArgs(argc, argv);
+    bench::parseArgs(argc, argv, {"--jobs", "--json", "--perf-out"});
     const bool json = bench::args().json;
     if (!json)
         std::printf(

@@ -25,7 +25,7 @@ using namespace cord;
 int
 main(int argc, char **argv)
 {
-    bench::parseArgs(argc, argv);
+    bench::parseArgs(argc, argv, {"--jobs", "--json"});
     const bool json = bench::args().json;
 
     if (!json)

@@ -70,12 +70,19 @@ LintReport
 lintCordRun(const CordDetector &cord, const TraceRecorder &trace,
             unsigned numThreads)
 {
-    const std::vector<std::uint8_t> wire = encodeOrderLog(cord.orderLog());
+    // A log that breaks the bounded-jump invariant has no wire form;
+    // lint it in memory, where checkLogWellFormed reports log.window.
+    std::vector<std::uint8_t> wire;
+    LintInput in;
+    if (isWireEncodable(cord.orderLog())) {
+        wire = encodeOrderLog(cord.orderLog());
+        in.wireLog = &wire;
+    } else {
+        in.log = &cord.orderLog();
+    }
     DecodedTrace decoded;
     decoded.events = trace.events();
     decoded.threadEnds = trace.threadEnds();
-    LintInput in;
-    in.wireLog = &wire;
     in.trace = &decoded;
     in.onlineReport = &cord.races();
     in.numThreads = numThreads;

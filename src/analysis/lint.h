@@ -65,9 +65,10 @@ LintReport runLint(const LintInput &in);
 
 /**
  * Lint a finished CORD run: @p cord's order log (through its wire
- * encoding), @p trace of the same run, and @p cord's online race
- * report, audited under @p cord's configuration.  @p numThreads is
- * LintInput::numThreads (0 = derive from the trace).
+ * encoding, or in memory when it has none), @p trace of the same run,
+ * and @p cord's online race report, audited under @p cord's
+ * configuration.  @p numThreads is LintInput::numThreads (0 = derive
+ * from the trace).
  */
 LintReport lintCordRun(const CordDetector &cord, const TraceRecorder &trace,
                        unsigned numThreads = 0);

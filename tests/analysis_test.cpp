@@ -284,5 +284,28 @@ TEST(Lint, WorksWithoutTrace)
         << "audit must be skipped without a trace";
 }
 
+TEST(Lint, CordRunWithoutWireFormReportsWindow)
+{
+    // At D = 256 a clean water-n2 run logs a clock jump that reaches
+    // the 16-bit window, so its log has no wire encoding: lintCordRun
+    // must lint it in memory and report log.window, not die encoding.
+    CordConfig cc;
+    cc.d = 256;
+    CordDetector cord(cc);
+    TraceRecorder trace;
+    RunSetup setup;
+    setup.workload = "water-n2";
+    setup.params.scale = 2;
+    setup.detectors = {&cord, &trace};
+    ASSERT_TRUE(runWorkload(setup).completed);
+    ASSERT_FALSE(isWireEncodable(cord.orderLog()));
+
+    const LintReport report = lintCordRun(cord, trace);
+    EXPECT_GE(report.errors(), 1u);
+    EXPECT_NE(report.renderText().find("[error] log.window"),
+              std::string::npos)
+        << report.renderText();
+}
+
 } // namespace
 } // namespace cord

@@ -110,21 +110,67 @@ TEST(CampaignFork, MatchesFreshRuns)
     }
 }
 
+/** CORD at D = 16 with one setting changed by @p edit. */
+template <typename Edit>
+DetectorSpec
+cordVariant(std::string label, Edit edit)
+{
+    CordConfig c;
+    edit(c);
+    return cordSpecWith(c, std::move(label));
+}
+
+/** CORD at D = 16 with a @p kb KB, @p ways-way history residency. */
+DetectorSpec
+cordCapacity(std::string label, std::uint32_t kb, std::uint32_t ways)
+{
+    return cordVariant(std::move(label), [&](CordConfig &c) {
+        c.residency = CacheGeometry{kb * 1024, kLineBytes, ways};
+    });
+}
+
 TEST(CampaignFork, SpecUnionMatchesEachFiguresSubset)
 {
-    // bench_detection reads Figures 10 and 12-17 off one campaign that
-    // carries the union of their detectors.  Each figure's detectors
-    // alone (Figures 12/13 label their D = 16 CORD "CORD") must score
-    // exactly as they do inside the union.
+    // bench_detection reads every detection table off one campaign
+    // that carries the union of their detectors, each distinct config
+    // once.  Each table's detectors alone, under their own labels,
+    // must score exactly as they do inside the union; "CORD" and
+    // "32KB" are the union's CORD-D16.
+    const auto oneEntry = [](CordConfig &c) { c.entriesPerLine = 1; };
+    const auto noFilters = [](CordConfig &c) { c.checkFilterBits = false; };
+    const auto noMemTs = [](CordConfig &c) { c.memTimestamps = false; };
+    const auto noMigration = [](CordConfig &c) {
+        c.migrationIncrement = false;
+    };
+    const auto inf = [](CordConfig &c) { c.infiniteResidency = true; };
     const std::vector<DetectorSpec> all = {
-        cordSpec(1),      cordSpec(4),     cordSpec(16),  cordSpec(256),
-        vcInfCacheSpec(), vcL2CacheSpec(), vcL1CacheSpec()};
+        cordSpec(1), cordSpec(2), cordSpec(4), cordSpec(8), cordSpec(16),
+        cordSpec(32), cordSpec(64), cordSpec(128), cordSpec(256),
+        vcInfCacheSpec(), vcL2CacheSpec(), vcL1CacheSpec(),
+        cordVariant("1-entry/line", oneEntry),
+        cordVariant("no-filters", noFilters),
+        cordVariant("no-memTs", noMemTs),
+        cordVariant("no-migration", noMigration),
+        cordCapacity("4KB", 4, 2), cordCapacity("8KB", 8, 2),
+        cordCapacity("16KB", 16, 4), cordCapacity("64KB", 64, 8),
+        cordVariant("inf", inf)};
     const std::vector<std::vector<DetectorSpec>> subsets = {
         {},
         {cordSpec(16, "CORD"), vcL2CacheSpec()},
         {vcInfCacheSpec(), vcL2CacheSpec(), vcL1CacheSpec()},
         {cordSpec(1), cordSpec(4), cordSpec(16), cordSpec(256),
-         vcL2CacheSpec()}};
+         vcL2CacheSpec()},
+        // The ablation, capacity and D-sweep tables' old spec lists.
+        {cordSpecWith(CordConfig{}, "CORD"),
+         cordVariant("1-entry/line", oneEntry),
+         cordVariant("no-filters", noFilters),
+         cordVariant("no-memTs", noMemTs),
+         cordVariant("no-migration", noMigration)},
+        {cordCapacity("4KB", 4, 2), cordCapacity("8KB", 8, 2),
+         cordCapacity("16KB", 16, 4), cordCapacity("32KB", 32, 4),
+         cordCapacity("64KB", 64, 8), cordVariant("inf", inf)},
+        {cordSpec(1), cordSpec(2), cordSpec(4), cordSpec(8), cordSpec(16),
+         cordSpec(32), cordSpec(64), cordSpec(128)}};
     for (const char *workload : {"fft", "barnes"}) {
         for (const bool forked : {true, false}) {
             SCOPED_TRACE(std::string(workload) +
@@ -141,7 +187,9 @@ TEST(CampaignFork, SpecUnionMatchesEachFiguresSubset)
                 EXPECT_EQ(s.rawRaces.size(), specs.size());
                 for (const DetectorSpec &spec : specs) {
                     const std::string l =
-                        spec.label == "CORD" ? "CORD-D16" : spec.label;
+                        spec.label == "CORD" || spec.label == "32KB"
+                            ? "CORD-D16"
+                            : spec.label;
                     SCOPED_TRACE(spec.label);
                     EXPECT_EQ(s.problems.at(spec.label), u.problems.at(l));
                     EXPECT_EQ(s.rawRaces.at(spec.label), u.rawRaces.at(l));

@@ -152,23 +152,51 @@ TEST(Harness, PerfComparisonProducesBothSides)
     }
 }
 
-/** bench_common.h: a list knob that is set but names nothing is an
- *  error, not an empty table or a silent default sweep. */
-TEST(BenchEnv, Fig11RejectsEmptyAppList)
+/** Run shell command @p cmd; @p out gets its output, returns its
+ *  exit status (-1 when it did not exit). */
+int
+runCommand(const std::string &cmd, std::string &out)
 {
-    const std::string cmd =
-        std::string("CORD_APPS=, ") + BENCH_FIG11_BIN + " 2>&1";
-    std::FILE *pipe = ::popen(cmd.c_str(), "r");
-    ASSERT_NE(pipe, nullptr);
-    std::string out;
+    std::FILE *pipe = ::popen((cmd + " 2>&1").c_str(), "r");
+    if (!pipe)
+        return -1;
+    out.clear();
     char buf[256];
     while (std::fgets(buf, sizeof buf, pipe))
         out += buf;
     const int status = ::pclose(pipe);
-    ASSERT_TRUE(WIFEXITED(status)) << "bench_fig11 died: " << status;
-    EXPECT_EQ(WEXITSTATUS(status), 2) << out;
+    return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+}
+
+/** bench_common.h: a list knob that is set but names nothing is an
+ *  error, not an empty table or a silent default sweep. */
+TEST(BenchEnv, Fig11RejectsEmptyAppList)
+{
+    std::string out;
+    EXPECT_EQ(runCommand(std::string("CORD_APPS=, ") + BENCH_FIG11_BIN,
+                         out),
+              2)
+        << out;
     EXPECT_NE(out.find("CORD_APPS named no apps"), std::string::npos)
         << out;
+}
+
+TEST(BenchEnv, DetectionRejectsFlagsItDoesNotRead)
+{
+    // bench_detection prints text tables only: --json must fail
+    // loudly, and the usage line names just the flags it reads.  (The
+    // tiny campaign keeps a binary that accepts the flag quick.)
+    std::string out;
+    EXPECT_EQ(runCommand(std::string("CORD_APPS=fft CORD_SCALE=1 "
+                                     "CORD_INJECTIONS=1 ") +
+                             BENCH_DETECTION_BIN + " --json",
+                         out),
+              2)
+        << out;
+    EXPECT_NE(out.find("[--jobs N] [--manifest FILE] [--load N]"),
+              std::string::npos)
+        << out;
+    EXPECT_EQ(out.find("--json"), std::string::npos) << out;
 }
 
 TEST(TextTableFormat, PercentAndNum)
