@@ -119,14 +119,22 @@ parseUnsignedOrExit(const std::string &what, const std::string &text,
     return static_cast<unsigned>(r.value);
 }
 
-/** Environment knob @p name, or @p dflt when unset or empty. */
+/** Environment knob @p name (at least @p min), or @p dflt when unset
+ *  or empty. */
 inline unsigned
-envUnsigned(const char *name, unsigned dflt)
+envUnsigned(const char *name, unsigned dflt, unsigned min = 0)
 {
     const char *v = std::getenv(name);
     if (!v || !*v)
         return dflt;
-    return parseUnsignedOrExit(name, v);
+    return parseUnsignedOrExit(name, v, min);
+}
+
+/** CORD_COMPUTE_SCALE: the Figure 11 compute multiplier, at least 1. */
+inline unsigned
+computeScale()
+{
+    return envUnsigned("CORD_COMPUTE_SCALE", 256, 1);
 }
 
 /**

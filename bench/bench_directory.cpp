@@ -25,6 +25,7 @@ main(int argc, char **argv)
     double snoopSum = 0.0;
     double dirSum = 0.0;
     const auto apps = bench::appList();
+    const unsigned computeScale = bench::computeScale();
     parallelForOrdered(
         apps.size(), bench::args().jobs,
         [&](std::size_t i) {
@@ -37,8 +38,7 @@ main(int argc, char **argv)
             CordConfig cord;
 
             MachineConfig snoop;
-            snoop.computeScale =
-                bench::envUnsigned("CORD_COMPUTE_SCALE", 256);
+            snoop.computeScale = computeScale;
             MachineConfig dir = snoop;
             dir.coherence = CoherenceKind::Directory;
 

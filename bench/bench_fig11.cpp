@@ -26,6 +26,7 @@ main(int argc, char **argv)
     double worst = 0.0;
     std::string worstApp;
     const auto apps = bench::appList();
+    const unsigned computeScale = bench::computeScale();
     // The perf points are independent of each other (no shared census),
     // so fan the apps out across workers; rows merge in app order.
     parallelForOrdered(
@@ -38,8 +39,7 @@ main(int argc, char **argv)
             params.scale = bench::envUnsigned("CORD_SCALE", 2);
             params.seed = bench::workloadSeed();
             MachineConfig machine;
-            machine.computeScale =
-                bench::envUnsigned("CORD_COMPUTE_SCALE", 256);
+            machine.computeScale = computeScale;
             CordConfig cord;
             return runPerf(app, params, machine, cord);
         },

@@ -66,7 +66,7 @@ machineFor(unsigned cores, CoherenceKind coherence)
     MachineConfig m;
     m.numCores = cores;
     m.coherence = coherence;
-    m.computeScale = bench::envUnsigned("CORD_COMPUTE_SCALE", 256);
+    m.computeScale = bench::computeScale();
     return m;
 }
 

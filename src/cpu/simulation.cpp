@@ -13,6 +13,10 @@ Simulation::Simulation(const MachineConfig &cfg, unsigned numThreads)
     : cfg_(cfg), mem_(cfg)
 {
     cord_assert(numThreads > 0, "need at least one thread");
+    if (cfg_.issueWidth == 0 || cfg_.computeScale == 0)
+        cord_fatal("machine config: issueWidth (", cfg_.issueWidth,
+                   ") and computeScale (", cfg_.computeScale,
+                   ") must be at least 1");
     cores_.resize(cfg_.numCores);
     threads_.reserve(numThreads);
     for (unsigned i = 0; i < numThreads; ++i) {
@@ -236,7 +240,7 @@ Simulation::runThread(Thread &t)
             t.instrs += chunk;
             if (gate_)
                 gate_->onRetired(t.tid, chunk);
-            t.computeRemaining -= static_cast<std::uint32_t>(chunk);
+            t.computeRemaining -= chunk;
             const Tick cost = std::max<Tick>(
                 1, (chunk + cfg_.issueWidth - 1) / cfg_.issueWidth);
             t.waiting = true;
@@ -261,21 +265,19 @@ Simulation::runThread(Thread &t)
         const OpRequest &op = t.drv.pending();
         switch (op.type) {
           case OpType::Compute:
-            if (op.count == 0) {
-                t.drv.complete(OpResult{0, false, events_.now()});
-                continue;
-            }
-            t.computeRemaining = op.count * cfg_.computeScale;
+          case OpType::SpinUntil: {
+            // A spin retires issueWidth instructions per cycle to its
+            // target, so its one chunk completes exactly there.
+            const Tick now = events_.now();
+            if (op.type == OpType::Compute)
+                t.computeRemaining =
+                    std::uint64_t{op.count} * cfg_.computeScale;
+            else if (op.value > now)
+                t.computeRemaining = (op.value - now) * cfg_.issueWidth;
+            if (t.computeRemaining == 0)
+                t.drv.complete(OpResult{0, false, now});
             continue;
-
-          case OpType::Yield:
-            t.waiting = true;
-            events_.scheduleIn(1, [this, &t] {
-                t.waiting = false;
-                t.drv.complete(OpResult{0, false, events_.now()});
-                wakeCore(t.core);
-            }, EventQueue::kPriResponse);
-            return true;
+          }
 
           case OpType::Load:
           case OpType::Store:

@@ -214,7 +214,7 @@ class Simulation : public CordTrafficSink
         ThreadDriver drv;
         std::uint64_t instrs = 0;
         std::uint64_t readChecksum = 0xcbf29ce484222325ULL; // FNV offset
-        std::uint32_t computeRemaining = 0;
+        std::uint64_t computeRemaining = 0;
         std::uint64_t nextMigration = 0; //!< instr count of next move
         bool spawned = false;
         bool waiting = false; //!< an op or compute chunk is in flight

@@ -28,11 +28,11 @@ namespace cord
 /** Operation kinds a thread coroutine can request. */
 enum class OpType : std::uint8_t
 {
-    Compute, //!< retire N non-memory instructions
+    Compute,   //!< retire N non-memory instructions
     Load,
     Store,
-    Rmw,     //!< atomic compare-and-swap (always a sync access)
-    Yield,   //!< advance one cycle without retiring instructions
+    Rmw,       //!< atomic compare-and-swap (always a sync access)
+    SpinUntil, //!< retire issueWidth instrs/cycle until a target tick
 };
 
 /** A requested operation, produced when a thread coroutine suspends. */
@@ -40,7 +40,7 @@ struct OpRequest
 {
     OpType type = OpType::Compute;
     Addr addr = 0;
-    std::uint64_t value = 0;    //!< store value / CAS desired value
+    std::uint64_t value = 0;    //!< store / CAS desired value / spin target
     std::uint64_t expected = 0; //!< CAS compare value
     bool sync = false;          //!< labelled synchronization access
     std::uint32_t count = 0;    //!< compute: instructions to retire
@@ -363,6 +363,21 @@ opCompute(std::uint32_t n)
     OpRequest r;
     r.type = OpType::Compute;
     r.count = n;
+    return {r};
+}
+
+/**
+ * Spin at full issue width until the simulated clock reaches
+ * @p target, completing exactly then; computeScale does not apply.  A
+ * target at or before the current tick completes at once and retires
+ * nothing.
+ */
+inline OpAwaiter
+opSpinUntil(Tick target)
+{
+    OpRequest r;
+    r.type = OpType::SpinUntil;
+    r.value = target;
     return {r};
 }
 

@@ -111,7 +111,7 @@ class EventLoop final : public Workload
         const unsigned tid = ctx.tid;
         const auto &arr = arrivals_[tid];
         for (unsigned i = 0; i < arr.size(); ++i) {
-            co_await server::waitUntilTick(arr[i]);
+            co_await opSpinUntil(arr[i]);
             ++stats_.arrived;
             co_await rt.lock(ctx, qLock_);
             const std::uint64_t head = (co_await opLoad(qHead_)).value;

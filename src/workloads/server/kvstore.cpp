@@ -110,7 +110,7 @@ class KvStore final : public Workload
         const auto &arr = arrivals_[tid];
         const auto &reqs = requests_[tid];
         for (unsigned i = 0; i < reqs.size(); ++i) {
-            co_await server::waitUntilTick(arr[i]);
+            co_await opSpinUntil(arr[i]);
             ++stats_.arrived;
             const Request &rq = reqs[i];
             const unsigned shard = rq.key % kShards;

@@ -133,7 +133,7 @@ class RcuReg final : public Workload
         const auto &arr = arrivals_[tid];
         const auto &reqs = requests_[tid];
         for (unsigned i = 0; i < reqs.size(); ++i) {
-            co_await server::waitUntilTick(arr[i]);
+            co_await opSpinUntil(arr[i]);
             ++stats_.arrived;
             const Entry &en = entries_[reqs[i].entry];
             if (reqs[i].update) {

@@ -9,7 +9,10 @@
  * any --jobs N.  Arrivals are open-loop: a request's latency is
  * measured from its scheduled arrival tick to its completion tick, so
  * queueing delay under overload is part of the tail, exactly like a
- * load generator hammering a real server.
+ * load generator hammering a real server.  A worker waits for each
+ * arrival with one opSpinUntil (runtime/sim_task.h), which spins at
+ * full issue width and lands on the arrival tick, or completes at once
+ * when the worker is already late.
  *
  * Two arrival processes are supported (docs/WORKLOADS.md):
  *  - Poisson: independent exponential inter-arrival gaps;
@@ -28,7 +31,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "runtime/sim_task.h"
 #include "sim/rng.h"
 #include "sim/stats.h"
 #include "sim/types.h"
@@ -132,36 +134,6 @@ perThreadArrivals(const TrafficConfig &base, unsigned numThreads,
         out.push_back(makeArrivals(c));
     }
     return out;
-}
-
-/**
- * Open-loop pacing: spin compute until the simulated clock reaches
- * @p target.  Calibrates ticks-per-compute-unit from the first probe,
- * so it adapts to any computeScale/issueWidth and to core contention.
- * Returns the tick actually reached (>= target).
- */
-inline Task<Tick>
-waitUntilTick(Tick target)
-{
-    OpResult r = co_await opCompute(0);
-    Tick now = r.now;
-    Tick perUnit = 0;
-    while (now < target) {
-        if (perUnit == 0) {
-            const Tick before = now;
-            now = (co_await opCompute(1)).now;
-            perUnit = now > before ? now - before : 1;
-            continue;
-        }
-        const Tick remaining = target - now;
-        std::uint64_t units = remaining / perUnit;
-        if (units == 0)
-            units = 1;
-        if (units > (1u << 20))
-            units = 1u << 20;
-        now = (co_await opCompute(static_cast<std::uint32_t>(units))).now;
-    }
-    co_return now;
 }
 
 } // namespace server

@@ -102,8 +102,10 @@ constexpr std::uint64_t kGoldenDirectoryOrderLog = 0xd793157c69bdce5eULL;
 // sync instances, the integer-exponential arrival schedules, and the
 // jittered-spin runtime path the server family runs on; the splash
 // goldens above must stay byte-identical to prove the jitter is truly
-// opt-in per family.
-constexpr std::uint64_t kGoldenServerOrderLog = 0x80a470cfaec1db92ULL;
+// opt-in per family.  Re-recorded once, when the open-loop pacer
+// became one SpinUntil op per arrival: the server apps' instruction
+// counts and same-tick event order changed on purpose.
+constexpr std::uint64_t kGoldenServerOrderLog = 0x294ba1db668914b7ULL;
 
 /** The fixture campaign: small but exercises injections, two detector
  *  families, finite + infinite residency, and the walker. */
@@ -300,7 +302,8 @@ constexpr CampaignGoldenRow kGoldenCampaignTable[] = {
     {"kvstore", "kvstore", 4, 4, false, 0, false, 0x3ae24f99a588a960ULL},
     {"worksteal", "worksteal", 4, 4, false, 0, false, 0x97a6bc2e1a15c08aULL},
     {"rcureg", "rcureg", 4, 4, false, 0, false, 0x2635d0596950cc34ULL},
-    {"eventloop", "eventloop", 4, 4, false, 0, false, 0xb32e4760303b50b0ULL},
+    // Re-recorded with kGoldenServerOrderLog (the SpinUntil pacer).
+    {"eventloop", "eventloop", 4, 4, false, 0, false, 0xb351147c0c055093ULL},
     {"fft_migrate500", "fft", 4, 4, false, 500, true, 0xa64f1ea3ab69f88bULL},
     {"barnes_dir16", "barnes", 16, 16, true, 0, false, 0x199bdbb21a79d4a6ULL},
 };

@@ -181,6 +181,20 @@ TEST(BenchEnv, Fig11RejectsEmptyAppList)
         << out;
 }
 
+/** bench_common.h: CORD_COMPUTE_SCALE 0 is a usage error, refused
+ *  before any run starts. */
+TEST(BenchEnv, Fig11RejectsZeroComputeScale)
+{
+    std::string out;
+    EXPECT_EQ(runCommand(std::string("CORD_APPS=fft CORD_SCALE=1 "
+                                     "CORD_COMPUTE_SCALE=0 ") +
+                             BENCH_FIG11_BIN,
+                         out),
+              2)
+        << out;
+    EXPECT_NE(out.find("CORD_COMPUTE_SCALE"), std::string::npos) << out;
+}
+
 TEST(BenchEnv, DetectionRejectsFlagsItDoesNotRead)
 {
     // bench_detection prints text tables only: --json must fail

@@ -76,8 +76,9 @@ TEST_P(CleanRun, ReplayReproducesReadValues)
     // Order-log replay gates instruction retirement fragment by
     // fragment, which perturbs timing relative to the free-running
     // recorded run.  Server-family workloads read the simulated clock
-    // (the open-loop pacer, waitUntilTick), so their instruction
-    // streams are timing-dependent and no order-log gate can
+    // (the open-loop pacer's opSpinUntil retires instructions up to
+    // each arrival tick, however late the worker starts it), so their
+    // instruction streams are timing-dependent and no order-log gate can
     // reproduce them without also recording timer reads — cordsim
     // --replay refuses them, and schedule-log replay (--replay-sched,
     // which reproduces the full interleaving) covers the family

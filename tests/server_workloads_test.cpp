@@ -100,6 +100,30 @@ TEST(ServerWorkloads, RunsAreDeterministicPerSeed)
     }
 }
 
+TEST(ServerWorkloads, PacingCostsFewKernelEventsPerAccess)
+{
+    // The open-loop pacer waits for each arrival with one SpinUntil op.
+    // A pacer that closes in on the arrival with a series of compute
+    // ops (about 19 a wait) reads above 5 kernel events per committed
+    // access on kvstore and rcureg here.
+    for (const char *app : {"kvstore", "eventloop", "rcureg"}) {
+        RunSetup setup;
+        setup.workload = app;
+        setup.params.numThreads = 4;
+        setup.params.scale = 4;
+        setup.params.seed = 1;
+        setup.params.loadPercent = 200;
+        const RunOutcome out = runWorkload(setup);
+        ASSERT_TRUE(out.completed) << app;
+        ASSERT_GT(out.accesses, 0u) << app;
+        EXPECT_LE(static_cast<double>(out.events) /
+                      static_cast<double>(out.accesses),
+                  3.0)
+            << app << ": " << out.events << " events for "
+            << out.accesses << " accesses";
+    }
+}
+
 std::string
 serverCampaignManifest(const std::string &app, unsigned load,
                        unsigned jobs)

@@ -4,7 +4,7 @@
  * accounting, compute timing at the configured issue width, functional
  * value semantics (loads/stores/CAS through the value store), the
  * committed-access stream seen by detectors and its batched delivery,
- * read checksums, and multiple threads per core.
+ * read checksums, multiple threads per core, and the SpinUntil op.
  */
 
 #include <gtest/gtest.h>
@@ -110,6 +110,110 @@ TEST(Simulation, ComputeScaleMultiplies)
     ASSERT_TRUE(sim.run());
     EXPECT_EQ(sim.finishTick(), 1000u);
     EXPECT_EQ(sim.instrCount(0), 4000u);
+}
+
+/** Compute @p n instructions, then spin until @p target; @p reached
+ *  gets the spin's completion tick. */
+Task<void>
+computeThenSpin(std::uint32_t n, Tick target, Tick &reached)
+{
+    co_await opCompute(n);
+    reached = (co_await opSpinUntil(target)).now;
+}
+
+TEST(SpinUntil, LandsExactlyOnTheTarget)
+{
+    MachineConfig cfg;
+    Simulation sim(cfg, 1);
+    Tick reached = 0;
+    sim.spawn(0, computeThenSpin(10, 1003, reached));
+    ASSERT_TRUE(sim.run());
+    EXPECT_EQ(reached, 1003u);
+    EXPECT_EQ(sim.finishTick(), 1003u);
+}
+
+TEST(SpinUntil, RetiresIssueWidthPerCycleUnscaled)
+{
+    for (unsigned scale : {1u, 256u}) {
+        MachineConfig cfg;
+        cfg.issueWidth = 4;
+        cfg.computeScale = scale;
+        Simulation sim(cfg, 1);
+        Tick reached = 0;
+        // opCompute(4) ends at tick `scale`; the spin covers the rest.
+        const Tick target = 5000;
+        sim.spawn(0, computeThenSpin(4, target, reached));
+        ASSERT_TRUE(sim.run());
+        EXPECT_EQ(reached, target) << "scale " << scale;
+        EXPECT_EQ(sim.instrCount(0), 4u * scale + 4u * (target - scale))
+            << "scale " << scale;
+    }
+}
+
+TEST(SpinUntil, CostsOneCompletionEventOnAnIdleCore)
+{
+    auto eventsFor = [](Task<void> body) {
+        MachineConfig cfg;
+        Simulation sim(cfg, 1);
+        sim.spawn(0, std::move(body));
+        EXPECT_TRUE(sim.run());
+        return sim.events().executedEvents();
+    };
+    Tick reached = 0;
+    const std::uint64_t past = eventsFor(computeThenSpin(4, 0, reached));
+    const std::uint64_t far =
+        eventsFor(computeThenSpin(4, 100000, reached));
+    const std::uint64_t computeOnlyEvents = eventsFor(computeOnly(4));
+    // A past target costs nothing.  A far one costs what one compute op
+    // does: its completion event, plus the issue step that completion
+    // wakes, which runs in place but still counts as executed.
+    EXPECT_EQ(past, computeOnlyEvents);
+    EXPECT_EQ(far - past, 2u);
+}
+
+TEST(SpinUntil, PastTargetRetiresNothing)
+{
+    MachineConfig cfg;
+    cfg.issueWidth = 4;
+    Simulation sim(cfg, 1);
+    std::vector<Tick> reached;
+    auto body = [](std::vector<Tick> &out) -> Task<void> {
+        co_await opCompute(40); // ends at tick 10
+        out.push_back((co_await opSpinUntil(10)).now);
+        out.push_back((co_await opSpinUntil(3)).now);
+    };
+    sim.spawn(0, body(reached));
+    ASSERT_TRUE(sim.run());
+    EXPECT_EQ(reached, (std::vector<Tick>{10, 10}));
+    EXPECT_EQ(sim.instrCount(0), 40u);
+    EXPECT_EQ(sim.finishTick(), 10u);
+}
+
+TEST(SpinUntil, LongGapDoesNotWrap)
+{
+    // 2^32 ticks at width 4 retire 2^34 instructions: past any 32-bit
+    // count, in one chunk.
+    MachineConfig cfg;
+    cfg.issueWidth = 4;
+    Simulation sim(cfg, 1);
+    Tick reached = 0;
+    const Tick target = (Tick{1} << 32) + 7;
+    sim.spawn(0, computeThenSpin(0, target, reached));
+    ASSERT_TRUE(sim.run());
+    EXPECT_EQ(reached, target);
+    EXPECT_EQ(sim.instrCount(0), 4 * target);
+}
+
+TEST(SimulationDeath, RejectsZeroComputeScaleAndIssueWidth)
+{
+    MachineConfig noScale;
+    noScale.computeScale = 0;
+    EXPECT_EXIT(Simulation(noScale, 1), ::testing::ExitedWithCode(1),
+                "computeScale \\(0\\) must be at least 1");
+    MachineConfig noWidth;
+    noWidth.issueWidth = 0;
+    EXPECT_EXIT(Simulation(noWidth, 1), ::testing::ExitedWithCode(1),
+                "issueWidth \\(0\\)");
 }
 
 Task<void>
