@@ -345,14 +345,7 @@ void
 Simulation::publish(Thread &t, Addr addr, AccessKind kind,
                     std::uint64_t value)
 {
-    MemEvent ev;
-    ev.tick = events_.now();
-    ev.tid = t.tid;
-    ev.core = t.core;
-    ev.addr = wordAddr(addr);
-    ev.kind = kind;
-    ev.instrCount = t.instrs;
-    ev.value = value;
+    const Addr word = wordAddr(addr);
     ++committed_;
     // Interleaving signature: FNV-1a over (tid, kind, word address) in
     // commit order.  Values are excluded so the signature fingerprints
@@ -361,13 +354,22 @@ Simulation::publish(Thread &t, Addr addr, AccessKind kind,
         sig_ ^= x;
         sig_ *= 0x100000001b3ULL;
     };
-    mix(ev.tid);
+    mix(t.tid);
     mix(static_cast<std::uint64_t>(kind));
-    mix(ev.addr);
+    mix(word);
     if (detectors_.empty())
         return;
-    batch_.push_back(ev);
-    if (batch_.size() >= flushAt_)
+    // Written in place: a stack copy would be read back with wide loads
+    // that cannot forward from its narrow stores.
+    MemEvent &ev = batch_[batched_];
+    ev.tick = events_.now();
+    ev.addr = word;
+    ev.instrCount = t.instrs;
+    ev.value = value;
+    ev.tid = t.tid;
+    ev.core = t.core;
+    ev.kind = kind;
+    if (++batched_ >= flushAt_)
         flushDetectors();
 }
 
@@ -376,9 +378,10 @@ Simulation::flushDetectors()
 {
     // Detector by detector, so each one's metadata stays host-cache
     // hot across the whole batch.
+    const std::span<const MemEvent> evs(batch_.data(), batched_);
     for (Detector *d : detectors_)
-        d->onAccesses(batch_);
-    batch_.clear();
+        d->onAccesses(evs);
+    batched_ = 0;
 }
 
 void
@@ -453,8 +456,8 @@ Simulation::run(Tick maxTicks)
     flushAt_ = (timingCord_ != nullptr || EventTracer::active() != nullptr)
                    ? 1
                    : kDetectorBatch;
-    if (!detectors_.empty())
-        batch_.reserve(flushAt_);
+    batch_.resize(detectors_.empty() ? 0 : flushAt_);
+    batched_ = 0;
     if (sched_)
         sched_->begin(static_cast<unsigned>(threads_.size()),
                       static_cast<unsigned>(cores_.size()));

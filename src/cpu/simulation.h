@@ -97,8 +97,8 @@ class Simulation : public CordTrafficSink
     void spawn(ThreadId tid, Task<void> body);
 
     /**
-     * Attach a passive detector (not owned).  Detectors see every
-     * committed access in commit order, but up to one batch
+     * Attach a passive detector (not owned), before run().  Detectors
+     * see every committed access in commit order, but up to one batch
      * (kDetectorBatch accesses) late: the simulation buffers the
      * stream and runs each detector over the whole buffer in turn.
      * The buffer is flushed before every onThreadEnd(), before
@@ -284,8 +284,9 @@ class Simulation : public CordTrafficSink
     std::vector<Detector *> detectors_;
     CordDetector *timingCord_ = nullptr;
     CordCharges cordCharges_;
-    std::vector<MemEvent> batch_; //!< committed, not yet dispatched
-    std::size_t flushAt_ = 1;     //!< batch_ size that triggers a flush
+    std::vector<MemEvent> batch_; //!< flushAt_ slots, written in place
+    std::size_t batched_ = 0;     //!< committed, not yet dispatched
+    std::size_t flushAt_ = 1;     //!< batched_ count that triggers a flush
     Tick maxTicks_ = kMaxTick;    //!< run()'s watchdog limit
     ExecutionGate *gate_ = nullptr;
     SchedulePolicy *sched_ = nullptr;

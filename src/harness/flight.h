@@ -22,7 +22,7 @@
  * run_finished by the in-order merge (submission order).  Runs forked
  * from the trunk (harness/trunk.h): run_started is written when the
  * child is forked, in the order the trunk reaches the picked
- * instances, and run_finished when the child is reaped; its
+ * instances, and run_finished as the child's record arrives; its
  * wallSeconds covers only the child's suffix of the run, since the
  * shared prefix ran once in the trunk (campaign_end's trunkSeconds).
  * Injections that picked the same instance share one child and get

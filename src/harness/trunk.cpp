@@ -121,7 +121,8 @@ class Trunk final : public SyncInstanceFilter
         for (Child &c : live_) {
             ::kill(c.pid, SIGKILL);
             ::waitpid(c.pid, nullptr, 0);
-            ::close(c.fd);
+            if (c.fd >= 0)
+                ::close(c.fd);
         }
     }
 
@@ -193,12 +194,15 @@ class Trunk final : public SyncInstanceFilter
         ::_exit(kChildFailed);
     }
 
-    /** Parent: wait for every child still running. */
+    /** Parent: wait for every record, then reap every child. */
     void
     reapAll()
     {
-        while (!live_.empty())
-            reap(/*block=*/true);
+        while (owing_ > 0)
+            readRecords(/*block=*/true);
+        for (Child &c : live_)
+            reapChild(c, 0);
+        live_.clear();
     }
 
     /** Parent: seconds spent blocked waiting for children. */
@@ -245,7 +249,9 @@ class Trunk final : public SyncInstanceFilter
     struct Child
     {
         pid_t pid = -1;
-        int fd = -1; //!< read end of the record pipe
+        /** Read end of the record pipe; -1 once the record is in or
+         *  the pipe closed short of it. */
+        int fd = -1;
         std::size_t slot = 0;
         std::string bytes; //!< record received so far
     };
@@ -279,8 +285,10 @@ class Trunk final : public SyncInstanceFilter
         if (pid == 0) {
             ::close(fds[0]);
             for (const Child &c : live_)
-                ::close(c.fd);
+                if (c.fd >= 0)
+                    ::close(c.fd);
             live_.clear();
+            owing_ = 0;
             flight_ = nullptr;
             gate_.park();
             childFd_ = fds[1];
@@ -289,26 +297,43 @@ class Trunk final : public SyncInstanceFilter
         }
         ::close(fds[1]);
         live_.push_back(Child{pid, fds[0], slot, {}});
+        ++owing_;
         ++forks_;
         if (flight_)
             for (unsigned i : slots_[slot].injections)
                 flight_->runStarted(i, i, 0);
-        // The trunk is one of the `jobs` simulating processes.
-        while (live_.size() >= jobs_)
+        // The trunk is one of the `jobs` simulating processes; a child
+        // stops counting once its record is in.
+        while (owing_ >= jobs_)
             reap(/*block=*/true);
         return false;
     }
 
-    /** Read every pipe that is ready; reap the children whose pipe
-     *  reached end-of-file.  @p block waits until one is ready. */
+    /** Read the records that have arrived, then reap the children
+     *  that have exited.  @p block waits until some pipe is ready. */
     void
     reap(bool block)
     {
-        if (live_.empty())
-            return;
+        if (owing_ > 0)
+            readRecords(block);
+        std::erase_if(live_, [this](Child &c) {
+            return c.fd < 0 && reapChild(c, WNOHANG);
+        });
+    }
+
+    /** Read every record pipe that is ready.  @p block waits until one
+     *  is. */
+    void
+    readRecords(bool block)
+    {
         std::vector<pollfd> pfds;
-        for (const Child &c : live_)
-            pfds.push_back({c.fd, POLLIN, 0});
+        std::vector<Child *> owing;
+        for (Child &c : live_) {
+            if (c.fd >= 0) {
+                pfds.push_back({c.fd, POLLIN, 0});
+                owing.push_back(&c);
+            }
+        }
         const Clock::time_point t0 = Clock::now();
         int ready;
         do {
@@ -319,39 +344,57 @@ class Trunk final : public SyncInstanceFilter
                 std::chrono::duration<double>(Clock::now() - t0).count();
         cord_assert(ready >= 0, "poll on campaign children failed: ",
                     std::strerror(errno));
-        std::vector<std::size_t> done;
         for (std::size_t k = 0; k < pfds.size(); ++k) {
             if (pfds[k].revents == 0)
                 continue;
+            Child &c = *owing[k];
             char buf[4096];
-            const ssize_t n = ::read(live_[k].fd, buf, sizeof buf);
+            const ssize_t n = ::read(c.fd, buf, sizeof buf);
+            if (n < 0 && errno == EINTR)
+                continue;
             if (n > 0)
-                live_[k].bytes.append(buf, static_cast<std::size_t>(n));
-            else if (n == 0 || errno != EINTR)
-                done.push_back(k);
-        }
-        // Back to front, so erasing keeps the lower indices valid.
-        for (auto it = done.rbegin(); it != done.rend(); ++it) {
-            finish(live_[*it]);
-            live_.erase(live_.begin() +
-                        static_cast<std::ptrdiff_t>(*it));
+                c.bytes.append(buf, static_cast<std::size_t>(n));
+            if (n <= 0 || c.bytes.size() >= recordBytes_)
+                recordIn(c);
         }
     }
 
-    /** The pipe of @p c is closed: reap it and judge its record. */
+    /** @p c's pipe is done with: its record is in, or it never will
+     *  be.  A whole record counts at once; reapChild() judges the rest. */
     void
-    finish(Child &c)
+    recordIn(Child &c)
+    {
+        ::close(c.fd);
+        c.fd = -1;
+        --owing_;
+        if (c.bytes.size() != recordBytes_)
+            return;
+        Slot &s = slots_[c.slot];
+        s.rec = decodeRecord(c.bytes, specs_);
+        if (flight_)
+            for (unsigned i : s.injections)
+                flight_->runFinished(i, i, 0, s.rec->completed,
+                                     !s.rec->completed, s.rec->wallSec,
+                                     s.rec->ticks, s.rec->ideal.pairs);
+    }
+
+    /** Reap @p c, whose pipe is closed, and judge how it ended.
+     *  @p flags is 0 or WNOHANG.  @return false if it is still
+     *  exiting */
+    bool
+    reapChild(Child &c, int flags)
     {
         int status = 0;
         rusage ru{};
         pid_t r;
         do {
-            r = ::wait4(c.pid, &status, 0, &ru);
+            r = ::wait4(c.pid, &status, flags, &ru);
         } while (r < 0 && errno == EINTR);
-        ::close(c.fd);
+        if (r == 0)
+            return false;
         if (r != c.pid) {
             fail(c.slot, std::string("waitpid: ") + std::strerror(errno));
-            return;
+            return true;
         }
         peakKb_ = std::max<long>(peakKb_, ru.ru_maxrss);
         if (WIFSIGNALED(status)) {
@@ -366,16 +409,8 @@ class Trunk final : public SyncInstanceFilter
                              std::to_string(c.bytes.size()) +
                              " bytes, expected " +
                              std::to_string(recordBytes_));
-        } else {
-            Slot &s = slots_[c.slot];
-            s.rec = decodeRecord(c.bytes, specs_);
-            if (flight_)
-                for (unsigned i : s.injections)
-                    flight_->runFinished(i, i, 0, s.rec->completed,
-                                         !s.rec->completed,
-                                         s.rec->wallSec, s.rec->ticks,
-                                         s.rec->ideal.pairs);
         }
+        return true;
     }
 
     const std::size_t jobs_;
@@ -391,7 +426,8 @@ class Trunk final : public SyncInstanceFilter
         byThread_;
     std::vector<std::size_t> cursor_; //!< per thread: next pick
 
-    std::vector<Child> live_;
+    std::vector<Child> live_; //!< forked, not yet reaped
+    std::size_t owing_ = 0;   //!< live children whose record is not in
     bool failed_ = false;
     unsigned forks_ = 0;
     long peakKb_ = 0;

@@ -25,12 +25,18 @@
  * _exit never flushes them again).
  *
  * Parent contract: at most `jobs` simulating processes at a time, the
- * trunk included (at jobs 1 the trunk waits for each child before it
- * continues).  The parent waits only on its own children, by polling
- * their pipes and then calling waitpid on the child's pid.  A child that
- * crashes, exits non-zero or sends a short record fails the whole
- * campaign with a std::runtime_error that names the injection; no
- * record of such a campaign is returned.
+ * trunk included.  A child holds its job slot until its record has
+ * arrived (at jobs 1 the trunk waits for each record before it
+ * continues); the trunk then goes on at once, without waiting for the
+ * child to exit.  The parent waits only on its own children: it polls
+ * the pipes of those that still owe a record and reaps exited ones by
+ * pid with WNOHANG at each fork and each poll.  Before result(),
+ * reapAll() waits for every record and every child, and every exit
+ * status, signal and record length is checked: a child that crashes,
+ * exits non-zero or sends a short record fails the whole campaign with
+ * a std::runtime_error that names the injection, even if its record
+ * arrived; no record of such a campaign is returned.  A campaign that
+ * throws kills and reaps every child it forked.
  */
 
 #ifndef CORD_HARNESS_TRUNK_H
@@ -94,7 +100,7 @@ RunRecord makeRunRecord(const RunOutcome &out, const Detector &ideal,
 class SuffixGate final : public Detector
 {
   public:
-    /** Accesses the log holds at most: 3 MiB of MemEvent, more than
+    /** Accesses the log holds at most: 2.5 MiB of MemEvent, more than
      *  any clean benchmark run commits, so only hung runs fill it. */
     static constexpr std::size_t kLogBound = std::size_t{1} << 16;
 
@@ -147,7 +153,7 @@ struct TrunkResult
  * once as the trunk, forking one child per distinct pick in @p picks.
  * Injections that picked the same instance share one child and its
  * record.  When @p flight is set, run_started is written as a child is
- * forked and run_finished as it is reaped, once per injection.
+ * forked and run_finished as its record arrives, once per injection.
  *
  * Requires a single-threaded caller: asserts that no harness
  * ThreadPool is alive.

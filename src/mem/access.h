@@ -46,21 +46,24 @@ isSyncKind(AccessKind k)
 /**
  * One committed word access.  A successful atomic read-modify-write is
  * published as a SyncRead immediately followed by a SyncWrite with the
- * same tick and instruction count.
+ * same tick and instruction count.  Fields are ordered by size, so the
+ * event packs into 40 bytes: every detector batch, trace and parked
+ * SuffixGate log holds these by the thousand.
  */
 struct MemEvent
 {
     Tick tick = 0;
-    ThreadId tid = 0;
-    CoreId core = 0;
-    Addr addr = 0;              //!< word-aligned address
-    AccessKind kind = AccessKind::DataRead;
+    Addr addr = 0;                //!< word-aligned address
     std::uint64_t instrCount = 0; //!< thread instructions retired so far
     std::uint64_t value = 0;      //!< value read / value written
+    ThreadId tid = 0;
+    CoreId core = 0;
+    AccessKind kind = AccessKind::DataRead;
 
     bool isWrite() const { return isWriteKind(kind); }
     bool isSync() const { return isSyncKind(kind); }
 };
+static_assert(sizeof(MemEvent) == 40, "MemEvent must stay packed");
 
 } // namespace cord
 

@@ -80,6 +80,13 @@ expectSameResult(const CampaignResult &a, const CampaignResult &b)
     EXPECT_EQ(a.rawRaces, b.rawRaces);
 }
 
+/** True when this process has no child left, reaped or not. */
+bool
+noChildren()
+{
+    return ::waitpid(-1, nullptr, WNOHANG) < 0 && errno == ECHILD;
+}
+
 std::vector<DetectorSpec>
 campaignSpecs()
 {
@@ -95,6 +102,7 @@ TEST(CampaignFork, MatchesFreshRuns)
             const CampaignConfig cfg = campaignOf(workload, 12, jobs);
             const CampaignResult forked =
                 runCampaign(cfg, campaignSpecs());
+            EXPECT_TRUE(noChildren());
             expectSameResult(forked,
                              runCampaign(fresh(cfg), campaignSpecs()));
             if (std::string(workload) == "lu") {
@@ -228,10 +236,10 @@ runWithHeartbeat(CampaignConfig cfg, std::vector<JsonValue> &lines)
 }
 
 /**
- * Children the heartbeat shows still running each time a new child is
- * forked, at most.  Consecutive run_started lines are one child (the
- * injections that picked the same instance); its run_finished lines
- * close it.
+ * Children the heartbeat shows still owing a record each time a new
+ * child is forked, at most.  Consecutive run_started lines are one
+ * child (the injections that picked the same instance); its
+ * run_finished lines, written as its record arrives, close it.
  */
 std::size_t
 maxChildrenRunningAtFork(const std::vector<JsonValue> &lines)
@@ -269,6 +277,7 @@ TEST(CampaignFork, DuplicatePicksShareOneChild)
     cfg.params.loadPercent = 100;
     std::vector<JsonValue> lines;
     const CampaignResult forked = runWithHeartbeat(cfg, lines);
+    EXPECT_TRUE(noChildren());
     ASSERT_EQ(forked.totalInstances, 20u);
     expectSameResult(forked, runCampaign(fresh(cfg), campaignSpecs()));
 
@@ -290,13 +299,16 @@ TEST(CampaignFork, DuplicatePicksShareOneChild)
 
 TEST(CampaignFork, JobsCountTheTrunk)
 {
-    // --jobs J: the trunk plus at most J - 1 children simulate at once,
-    // so at jobs 1 the trunk waits for each child before it goes on.
+    // --jobs J: the trunk plus at most J - 1 children owing a record
+    // simulate at once, so at jobs 1 the trunk waits for each record
+    // before it goes on.  Children whose record is in may still be
+    // exiting, but every one is reaped before runCampaign returns.
     for (const unsigned jobs : {1u, 3u}) {
         SCOPED_TRACE("jobs " + std::to_string(jobs));
         std::vector<JsonValue> lines;
         runWithHeartbeat(campaignOf("fft", 12, jobs), lines);
         EXPECT_LE(maxChildrenRunningAtFork(lines), jobs - 1);
+        EXPECT_TRUE(noChildren());
     }
 }
 
@@ -378,13 +390,6 @@ campaignFailure(const CampaignConfig &cfg, Fault fault)
         return e.what();
     }
     return "";
-}
-
-/** True when this process has no child left, reaped or not. */
-bool
-noChildren()
-{
-    return ::waitpid(-1, nullptr, WNOHANG) < 0 && errno == ECHILD;
 }
 
 class CampaignForkFault : public ::testing::Test
