@@ -7,9 +7,9 @@
  * Command-line flags (parseArgs).  Each binary names the flags it
  * reads; any other argument exits 2 with a usage line listing only
  * that binary's flags.
- *   --jobs N         run campaign injections (and per-app perf points)
- *                    on N worker threads (harness/exec.h); 0 = one per
- *                    hardware thread.  Results are bit-identical for
+ *   --jobs N         run campaign injections (and per-app overhead
+ *                    run pairs) on N worker threads (harness/exec.h);
+ *                    0 = one per hardware thread.  Results are bit-identical for
  *                    every N given the same seed.
  *   --manifest FILE  write a deterministic cord-manifest-v1 document
  *                    with every campaign's metrics (cordstat-readable)
@@ -58,6 +58,7 @@
 #include <limits>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "analysis/lint.h"
@@ -128,13 +129,6 @@ envUnsigned(const char *name, unsigned dflt, unsigned min = 0)
     if (!v || !*v)
         return dflt;
     return parseUnsignedOrExit(name, v, min);
-}
-
-/** CORD_COMPUTE_SCALE: the Figure 11 compute multiplier, at least 1. */
-inline unsigned
-computeScale()
-{
-    return envUnsigned("CORD_COMPUTE_SCALE", 256, 1);
 }
 
 /**
@@ -369,6 +363,56 @@ campaignFor(const std::string &app)
     cfg.jobs = args().jobs;
     attachLintObserver(cfg);
     return cfg;
+}
+
+/**
+ * The Figure 11 compute multiplier: workload compute blocks run 256
+ * times longer on the overhead machine, restoring a realistic
+ * compute-to-synchronization ratio (DESIGN.md Section 5 point 7).
+ */
+constexpr unsigned kOverheadComputeScale = 256;
+
+/** The machine every overhead report (Figure 11, the directory
+ *  extension, the scaling study) times CORD on. */
+inline MachineConfig
+overheadMachine(unsigned cores, CoherenceKind coherence)
+{
+    MachineConfig m;
+    m.numCores = cores;
+    m.coherence = coherence;
+    m.computeScale = kOverheadComputeScale;
+    return m;
+}
+
+/**
+ * The baseline/CORD run pair (runPerf) of every app in @p apps on each
+ * of @p machines, with @p threads software threads.  Apps fan out over
+ * --jobs workers; the result is in app order, one PerfPoint per
+ * machine in each row, bit-identical for every job count.
+ */
+inline std::vector<std::vector<PerfPoint>>
+overheadByApp(const std::vector<std::string> &apps,
+              const std::vector<MachineConfig> &machines, unsigned threads)
+{
+    WorkloadParams params;
+    params.numThreads = threads;
+    params.scale = envUnsigned("CORD_SCALE", 2);
+    params.seed = workloadSeed();
+    std::vector<std::vector<PerfPoint>> rows;
+    parallelForOrdered(
+        apps.size(), args().jobs,
+        [&](std::size_t i) {
+            std::fprintf(stderr, "  [perf] %s...\n", apps[i].c_str());
+            std::vector<PerfPoint> row;
+            for (const MachineConfig &machine : machines)
+                row.push_back(
+                    runPerf(apps[i], params, machine, CordConfig{}));
+            return row;
+        },
+        [&](std::size_t, std::vector<PerfPoint> &&row) {
+            rows.push_back(std::move(row));
+        });
+    return rows;
 }
 
 /**

@@ -17,7 +17,8 @@
  *    1 + sharers slice transactions regardless of the core count.
  *
  * Each (coherence, cores) point reports the mean relative execution
- * time with CORD attached (Figure 11 metric, runPerf) and an injection
+ * time with CORD attached (Figure 11 metric, runPerf, on
+ * bench::overheadMachine; the apps fan out over --jobs) and an injection
  * campaign's detection rates for CORD vs the vector-clock L2Cache
  * baseline.  Both detectors visit only the caches holding a line
  * (cord/history_cache.h), so coherence changes what a check costs on
@@ -60,16 +61,6 @@ coreList()
     return cores;
 }
 
-MachineConfig
-machineFor(unsigned cores, CoherenceKind coherence)
-{
-    MachineConfig m;
-    m.numCores = cores;
-    m.coherence = coherence;
-    m.computeScale = bench::computeScale();
-    return m;
-}
-
 /** One measured (coherence, cores) point of the study. */
 struct ScalingPoint
 {
@@ -92,22 +83,16 @@ measurePoint(CoherenceKind coherence, unsigned cores,
     pt.coh = coherence == CoherenceKind::Directory ? "dir" : "snoop";
     pt.cores = cores;
 
-    const MachineConfig machine = machineFor(cores, coherence);
+    const MachineConfig machine = bench::overheadMachine(cores, coherence);
 
-    // Overhead: Figure 11 metric per app, averaged.  One software
-    // thread per processor -- the study scales the parallelism with
-    // the machine, as the paper's SMP does.
-    WorkloadParams params;
-    params.numThreads = cores;
-    params.scale = bench::envUnsigned("CORD_SCALE", 2);
-    params.seed = bench::workloadSeed();
-    CordConfig cord;
+    // Overhead: Figure 11 metric per app, averaged in app order.  One
+    // software thread per processor -- the study scales the
+    // parallelism with the machine, as the paper's SMP does.
     double relSum = 0.0;
-    for (const std::string &app : apps) {
-        const PerfPoint p = runPerf(app, params, machine, cord);
-        relSum += p.relative();
-        pt.raceCheckTraffic += p.raceCheckTraffic;
-        pt.memTsTraffic += p.memTsTraffic;
+    for (const auto &row : bench::overheadByApp(apps, {machine}, cores)) {
+        relSum += row[0].relative();
+        pt.raceCheckTraffic += row[0].raceCheckTraffic;
+        pt.memTsTraffic += row[0].memTsTraffic;
     }
     pt.meanRel = relSum / static_cast<double>(apps.size());
 

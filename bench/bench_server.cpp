@@ -10,9 +10,10 @@
  * registry / event loop under open-loop traffic?
  *
  * For every (app, load%) point it reports:
- *  - the Figure 11 overhead metric: relative execution time with CORD
- *    attached and its traffic charged to the buses (baseline = no
- *    detection hardware);
+ *  - relative execution time with CORD attached and its traffic
+ *    charged to the buses (baseline = no detection hardware), on the
+ *    default machine at computeScale 1 -- the machine the detection
+ *    campaign runs on, not Figure 11's bench::overheadMachine;
  *  - request-latency tails from the traffic engine's histogram --
  *    p50/p99 for the baseline and the CORD-attached run, so timestamp
  *    traffic shows up where a serving system would feel it;
@@ -80,7 +81,8 @@ measurePoint(const std::string &app, unsigned load)
     params.seed = bench::workloadSeed();
     const MachineConfig machine;
 
-    // Figure 11 run pair.  Tail counters come from the baseline run --
+    // Baseline/CORD run pair at computeScale 1 (not the Figure 11
+    // machine).  Tail counters come from the baseline run --
     // drops happen at arrival time and are detector-invariant.
     const PerfPoint perf = runPerf(app, params, machine, CordConfig{});
     readLatency(perf.baselineTraffic, pt.p50Base, pt.p99Base);
@@ -185,8 +187,8 @@ main(int argc, char **argv)
                 "injection coverage is broken");
 
     const std::string title =
-        "Server tier: CORD overhead, latency tails and detection vs "
-        "offered load";
+        "Server tier (computeScale 1): CORD overhead, latency tails and "
+        "detection vs offered load";
     if (json)
         t.printJson(title);
     else

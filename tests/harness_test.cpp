@@ -10,7 +10,11 @@
 #include <sys/wait.h>
 
 #include <cstdio>
+#include <iterator>
+#include <map>
+#include <sstream>
 #include <string>
+#include <vector>
 
 #include "harness/experiments.h"
 #include "harness/table.h"
@@ -181,18 +185,58 @@ TEST(BenchEnv, Fig11RejectsEmptyAppList)
         << out;
 }
 
-/** bench_common.h: CORD_COMPUTE_SCALE 0 is a usage error, refused
- *  before any run starts. */
-TEST(BenchEnv, Fig11RejectsZeroComputeScale)
+/** Column @p col of the rows of the table titled @p title in @p out
+ *  (TextTable::print layout), keyed by each row's first cell. */
+std::map<std::string, std::string>
+tableColumn(const std::string &out, const std::string &title,
+            std::size_t col)
 {
-    std::string out;
-    EXPECT_EQ(runCommand(std::string("CORD_APPS=fft CORD_SCALE=1 "
-                                     "CORD_COMPUTE_SCALE=0 ") +
-                             BENCH_FIG11_BIN,
-                         out),
-              2)
-        << out;
-    EXPECT_NE(out.find("CORD_COMPUTE_SCALE"), std::string::npos) << out;
+    std::map<std::string, std::string> cells;
+    std::istringstream in(out.substr(out.find("== " + title + " ==")));
+    std::string line;
+    std::getline(in, line); // the title
+    while (std::getline(in, line) && line.rfind("== ", 0) != 0) {
+        std::istringstream row(line);
+        const std::vector<std::string> tok{
+            std::istream_iterator<std::string>(row),
+            std::istream_iterator<std::string>()};
+        if (tok.size() > col)
+            cells[tok[0]] = tok[col];
+    }
+    return cells;
+}
+
+/** bench_fig11 prints Figure 11 and the directory extension from one
+ *  run pair per app and machine: its stdout does not depend on --jobs,
+ *  and each app's snooping column in the directory table is its
+ *  Figure 11 row. */
+TEST(BenchEnv, Fig11TablesShareOneRunPairPerApp)
+{
+    const std::string fig11 =
+        "Figure 11: execution time with CORD relative to baseline";
+    const std::string dir =
+        "Extension: CORD overhead, snooping vs directory coherence";
+    std::string out1, out2;
+    // The subshell drops bench_fig11's stderr progress lines.
+    const std::string cmd =
+        std::string("(CORD_APPS=fft,lu CORD_SCALE=1 ") + BENCH_FIG11_BIN +
+        " --jobs ";
+    ASSERT_EQ(runCommand(cmd + "1 2>/dev/null)", out1), 0) << out1;
+    ASSERT_EQ(runCommand(cmd + "2 2>/dev/null)", out2), 0) << out2;
+    EXPECT_EQ(out1, out2);
+    ASSERT_NE(out1.find("== " + fig11 + " =="), std::string::npos) << out1;
+    ASSERT_NE(out1.find("== " + dir + " =="), std::string::npos) << out1;
+
+    // Relative is column 3 of Figure 11, Snoop rel column 3 of the
+    // directory table.
+    const auto rel = tableColumn(out1, fig11, 3);
+    const auto snoopRel = tableColumn(out1, dir, 3);
+    for (const std::string app : {"fft", "lu"}) {
+        ASSERT_TRUE(rel.count(app)) << app << "\n" << out1;
+        ASSERT_TRUE(snoopRel.count(app)) << app << "\n" << out1;
+        EXPECT_EQ(rel.at(app), snoopRel.at(app)) << app;
+        EXPECT_NE(rel.at(app).find('%'), std::string::npos) << app;
+    }
 }
 
 TEST(BenchEnv, DetectionRejectsFlagsItDoesNotRead)

@@ -3,17 +3,21 @@
  * End-to-end tests of schedule exploration (sched/explore.h) and its
  * integration with the harness: the BaselinePolicy byte-identity
  * regression, exact schedule record/replay across workloads, job-count
- * invariance, the campaign schedules axis, and CORD order-log replay
- * of a perturbed schedule.
+ * invariance, the campaign schedules axis, CORD order-log replay of a
+ * perturbed schedule, and a bounded mutation test of the schedule-log
+ * decoder on a recorded log.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <iterator>
 #include <string>
 #include <vector>
 
 #include "cord/cord_detector.h"
 #include "cord/ideal_detector.h"
+#include "cord/log_codec.h"
 #include "cord/replay.h"
 #include "harness/experiments.h"
 #include "harness/runner.h"
@@ -23,6 +27,8 @@
 #include "sched/perturb.h"
 #include "sched/policy.h"
 #include "sched/replay.h"
+#include "sched/sched_log.h"
+#include "sim/rng.h"
 
 namespace cord
 {
@@ -306,6 +312,90 @@ TEST(OrderLogUnderSchedule, PerturbedRunReplaysThroughGate)
     EXPECT_TRUE(gate.drained());
     EXPECT_EQ(repOut.readChecksums, recOut.readChecksums);
     EXPECT_EQ(repOut.instrs, recOut.instrs);
+}
+
+/**
+ * Seeded, bounded mutation of a recorded schedule log: bit flips,
+ * truncations, splices and an inflated decision count.  Every mutant
+ * must decode, or be refused with a message -- never crash, hang or
+ * hold more decisions than it has bytes.
+ */
+TEST(ScheduleLogMutation, EveryMutantDecodesOrIsRefused)
+{
+    ExploreSpec spec;
+    spec.workload = "fft";
+    spec.params.numThreads = 4;
+    spec.params.scale = 1;
+    spec.params.seed = 13;
+    spec.schedules = 2;
+    spec.sched.kind = SchedKind::Perturb;
+    const ExploreResult res = exploreSchedules(spec);
+    ASSERT_EQ(res.runs.size(), 2u);
+    const ScheduleLog &log = res.runs[1].log;
+    ASSERT_FALSE(log.empty());
+    const std::vector<std::uint8_t> base = encodeScheduleLog(log);
+
+    // The header ends with the decision count; an empty log with the
+    // same metadata encodes exactly that header with a one-byte count.
+    ScheduleLog header;
+    header.policyKind = log.policyKind;
+    header.seed = log.seed;
+    header.numThreads = log.numThreads;
+    header.signature = log.signature;
+    const std::size_t countAt = encodeScheduleLog(header).size() - 1;
+    std::vector<std::uint8_t> count;
+    putVarint(count, log.size());
+
+    Rng rng(0x5c4ed);
+    const std::uint64_t inflated[] = {log.size() + 1, log.size() * 2,
+                                      std::uint64_t{1} << 32,
+                                      ~std::uint64_t{0} >> 1,
+                                      ~std::uint64_t{0}};
+    unsigned accepted = 0, refused = 0;
+    constexpr unsigned kMutants = 2000;
+    for (unsigned i = 0; i < kMutants; ++i) {
+        std::vector<std::uint8_t> m = base;
+        bool mustFail = false;
+        switch (i % 4) {
+          case 0: // bit flips
+            for (std::uint64_t n = rng.range(1, 8); n > 0; --n)
+                m[rng.below(m.size())] ^= 1u << rng.below(8);
+            break;
+          case 1: // truncation
+            m.resize(rng.below(m.size()));
+            mustFail = true;
+            break;
+          case 2: { // splice: a prefix joined to another suffix
+            const std::size_t cut = rng.below(base.size() + 1);
+            const std::size_t from = rng.below(base.size() + 1);
+            m.assign(base.begin(), base.begin() + cut);
+            m.insert(m.end(), base.begin() + from, base.end());
+            break;
+          }
+          default: { // decision count larger than the decisions there
+            std::vector<std::uint8_t> big;
+            putVarint(big, inflated[rng.below(std::size(inflated))]);
+            m.erase(m.begin() + countAt,
+                    m.begin() + countAt + count.size());
+            m.insert(m.begin() + countAt, big.begin(), big.end());
+            mustFail = true;
+            break;
+          }
+        }
+        ScheduleLog out;
+        std::string err;
+        if (decodeScheduleLog(m, out, &err)) {
+            ++accepted;
+            EXPECT_FALSE(mustFail) << "mutant " << i;
+            EXPECT_LE(out.size(), m.size()) << "mutant " << i;
+        } else {
+            ++refused;
+            EXPECT_FALSE(err.empty()) << "mutant " << i;
+        }
+    }
+    EXPECT_EQ(accepted + refused, kMutants);
+    EXPECT_GT(accepted, 0u); // flips inside a decision stay well framed
+    EXPECT_GT(refused, 0u);
 }
 
 TEST(CampaignSchedules, SingleScheduleMatchesLegacyCampaign)

@@ -775,10 +775,11 @@ runProfileMode(const Options &opt)
             .count();
 
     std::printf("profile       : %s (scale %u, %u threads on %u "
-                "cores, seed %llu, D=%u)\n",
+                "cores, seed %llu, D=%u, computeScale %u)\n",
                 opt.workload.c_str(), opt.scale, opt.threads,
                 opt.cores,
-                static_cast<unsigned long long>(opt.seed), opt.d);
+                static_cast<unsigned long long>(opt.seed), opt.d,
+                machine.computeScale);
     std::printf("sim ticks     : Ideal=%llu CORD=%llu (overhead %llu, "
                 "%.2fx)\n",
                 static_cast<unsigned long long>(rep.baselineTicks),
