@@ -1,41 +1,10 @@
 #include "analysis/epoch_analyzer.h"
 
-#include <algorithm>
-
-#include "cord/vector_clock.h"
+#include "cord/ideal_detector.h"
 #include "sim/flat_map.h"
-#include "sim/logging.h"
 
 namespace cord
 {
-
-namespace
-{
-
-/**
- * Per-word compressed history.  Exclusive mode stores the single
- * accessing thread's last read/write inline; shared mode indexes the
- * analyzer's pooled per-thread arrays.  Trivially movable so it can
- * live directly in FlatAddrMap's dense storage.
- */
-struct WordState
-{
-    static constexpr std::uint32_t kExclusive = 0xffffffffu;
-
-    /** kExclusive, or the word's base index into the pooled arrays. */
-    std::uint32_t base = kExclusive;
-
-    /** Exclusive mode: the owning thread's last accesses.  (Aliased as
-     *  scratch once promoted; only `base` is meaningful then.) */
-    Epoch read, write;
-    Tick readTick = 0, writeTick = 0;
-
-    /** Shared mode: threads with a recorded read / write (n <= 64;
-     *  wider machines scan all threads, same as the full analyzer). */
-    std::uint64_t readMask = 0, writeMask = 0;
-};
-
-} // namespace
 
 HbAnalysis
 analyzeEpochCompressed(const DecodedTrace &trace, unsigned numThreads)
@@ -45,132 +14,47 @@ analyzeEpochCompressed(const DecodedTrace &trace, unsigned numThreads)
     a.numThreads_ = HbAnalysis::resolveThreads(trace, numThreads);
     if (a.numThreads_ == 0)
         return a;
-    const unsigned n = a.numThreads_;
-    const bool useMasks = n <= 64;
+    const std::size_t n = a.numThreads_;
 
-    // Thread vector clocks; components start at 1 so epoch 0 == never.
-    std::vector<VectorClock> vc;
-    vc.reserve(n);
-    for (ThreadId t = 0; t < n; ++t) {
-        vc.emplace_back(n);
-        vc.back().tick(t);
+    // Pass 1: the race set.  otherTick is filled in by pass 2.
+    IdealDetector engine(a.numThreads_);
+    std::vector<std::size_t> raceEvent; //!< trace index, per race
+    for (std::size_t i = 0; i < trace.events.size(); ++i) {
+        const MemEvent &ev = trace.events[i];
+        engine.observe(ev, [&](ThreadId u, bool otherWasWrite) {
+            const Addr wa = wordAddr(ev.addr);
+            a.races_.push_back(
+                HbRace{ev.tick, wa, ev.tid, ev.kind, u, 0, otherWasWrite});
+            a.racyWords_.insert(wa);
+            a.endpoints_.insert(std::make_tuple(ev.tick, wa, ev.tid));
+            raceEvent.push_back(i);
+        });
     }
-    FlatAddrMap<VectorClock> syncVc;
-    FlatAddrMap<WordState> words;
+    if (a.races_.empty())
+        return a;
 
-    // Pooled shared-mode histories: per promoted word, 2n epochs
-    // (writes then reads) and 2n ticks, all in two flat arenas.
-    std::vector<std::uint32_t> poolEpoch;
-    std::vector<Tick> poolTick;
-
-    auto report = [&](const MemEvent &ev, Addr wa, ThreadId u,
-                      Tick otherTick, bool otherWasWrite) {
-        a.races_.push_back(
-            HbRace{ev.tick, wa, ev.tid, ev.kind, u, otherTick,
-                   otherWasWrite});
-        a.racyWords_.insert(wa);
-        a.endpoints_.insert(std::make_tuple(ev.tick, wa, ev.tid));
-    };
-
-    for (const MemEvent &ev : trace.events) {
-        VectorClock &tvc = vc[ev.tid];
-        const Addr wa = wordAddr(ev.addr);
-
-        if (ev.isSync()) {
-            VectorClock &svc = syncVc[wa];
-            if (svc.size() == 0)
-                svc = VectorClock(n);
-            if (!ev.isWrite()) {
-                tvc.join(svc);
-            } else {
-                svc.join(tvc);
-                tvc.tick(ev.tid);
-            }
+    // Pass 2: replay the racy words' commit ticks, which the engine
+    // does not keep -- one row per racy word, n last-write ticks then
+    // n last-read ticks -- and read each race's earlier endpoint off
+    // its row just before the later access updates it.
+    FlatAddrMap<std::uint32_t> rowOf;
+    for (Addr w : a.racyWords_) {
+        const auto row = static_cast<std::uint32_t>(rowOf.size());
+        rowOf[w] = row;
+    }
+    std::vector<Tick> ticks(rowOf.size() * 2 * n, 0);
+    std::size_t next = 0;
+    for (std::size_t i = 0; next < a.races_.size(); ++i) {
+        const MemEvent &ev = trace.events[i];
+        const std::uint32_t *row = rowOf.find(wordAddr(ev.addr));
+        if (ev.isSync() || !row)
             continue;
+        Tick *last = &ticks[*row * 2 * n];
+        for (; next < a.races_.size() && raceEvent[next] == i; ++next) {
+            HbRace &r = a.races_[next];
+            r.otherTick = last[(r.otherWasWrite ? 0 : n) + r.other];
         }
-
-        WordState &w = words[wa];
-        const std::uint32_t own = tvc[ev.tid];
-
-        if (w.base == WordState::kExclusive) {
-            const ThreadId owner =
-                w.write.valid() ? w.write.tid()
-                                : (w.read.valid() ? w.read.tid()
-                                                  : ev.tid);
-            if (owner == ev.tid) {
-                // FastTrack same-thread fast path: no race possible.
-                if (ev.isWrite()) {
-                    w.write = Epoch(ev.tid, own);
-                    w.writeTick = ev.tick;
-                } else {
-                    w.read = Epoch(ev.tid, own);
-                    w.readTick = ev.tick;
-                }
-                continue;
-            }
-            // Second thread arrives: O(1) epoch-vs-vector checks
-            // against the single prior accessor, then promote.
-            if (!tvc.knows(w.write))
-                report(ev, wa, owner, w.writeTick, true);
-            if (ev.isWrite() && !tvc.knows(w.read))
-                report(ev, wa, owner, w.readTick, false);
-
-            const std::uint32_t base =
-                static_cast<std::uint32_t>(poolEpoch.size());
-            poolEpoch.resize(poolEpoch.size() + 2 * n, 0);
-            poolTick.resize(poolTick.size() + 2 * n, 0);
-            if (w.write.valid()) {
-                poolEpoch[base + owner] = w.write.clock();
-                poolTick[base + owner] = w.writeTick;
-                w.writeMask |= 1ull << (owner & 63);
-            }
-            if (w.read.valid()) {
-                poolEpoch[base + n + owner] = w.read.clock();
-                poolTick[base + n + owner] = w.readTick;
-                w.readMask |= 1ull << (owner & 63);
-            }
-            w.base = base;
-            // fall through to the shared-mode update below
-        } else {
-            // Shared mode: scan only threads that recorded an access
-            // (ascending, matching HbAnalysis's u loop order).
-            const std::uint32_t *we = &poolEpoch[w.base];
-            const std::uint32_t *re = we + n;
-            const Tick *wt = &poolTick[w.base];
-            const Tick *rt = wt + n;
-            auto check = [&](ThreadId u) {
-                if (u == ev.tid)
-                    return;
-                if (we[u] != 0 && tvc[u] < we[u])
-                    report(ev, wa, u, wt[u], true);
-                if (ev.isWrite() && re[u] != 0 && tvc[u] < re[u])
-                    report(ev, wa, u, rt[u], false);
-            };
-            if (useMasks) {
-                std::uint64_t m = ev.isWrite()
-                                      ? (w.writeMask | w.readMask)
-                                      : w.writeMask;
-                while (m) {
-                    const unsigned u = static_cast<unsigned>(
-                        __builtin_ctzll(m));
-                    m &= m - 1;
-                    check(static_cast<ThreadId>(u));
-                }
-            } else {
-                for (ThreadId u = 0; u < n; ++u)
-                    check(u);
-            }
-        }
-
-        std::uint32_t *slots = &poolEpoch[w.base];
-        Tick *ticks = &poolTick[w.base];
-        const unsigned off = ev.isWrite() ? 0 : n;
-        slots[off + ev.tid] = own;
-        ticks[off + ev.tid] = ev.tick;
-        if (ev.isWrite())
-            w.writeMask |= 1ull << (ev.tid & 63);
-        else
-            w.readMask |= 1ull << (ev.tid & 63);
+        last[(ev.isWrite() ? 0 : n) + ev.tid] = ev.tick;
     }
     return a;
 }

@@ -1,22 +1,16 @@
 /**
  * @file
- * FastTrack-style epoch-compressed happens-before analysis.
+ * Epoch-compressed happens-before analysis: the Ideal detector's
+ * FastTrack engine (cord/ideal_detector.h) run over a recorded trace.
  *
  * `analyzeEpochCompressed` computes the exact same result as
  * `HbAnalysis::analyze` -- same racing pairs in the same order, same
- * racy-word and endpoint sets, same thread-count resolution -- but
- * replaces the full vector-clock word histories with adaptively
- * compressed per-word state:
- *
- *  - words only one thread ever touched keep two Epochs (cord/
- *    vector_clock.h) and are checked/updated in O(1) -- the FastTrack
- *    read/write-same-epoch fast path, which covers the overwhelming
- *    majority of accesses in the SPLASH-style workloads;
- *  - words that become shared are promoted to pooled per-thread
- *    epoch arrays guarded by accessor bitmasks, so race checks scan
- *    only threads that actually touched the word instead of all N;
- *  - word lookup uses the open-addressing FlatAddrMap instead of one
- *    heap allocation (four vectors) per word.
+ * racy-word and endpoint sets, same thread-count resolution -- by
+ * feeding the trace through IdealDetector::observe, whose per-word
+ * epochs replace the full vector-clock word histories.  The only
+ * offline state is each race's earlier commit tick, which the online
+ * detector never needs: a second pass replays ticks for the racy words
+ * alone, so a race-free trace costs one engine pass.
  *
  * CI's bench_predict job asserts this analyzer stays >= 2x faster
  * than the full-vector HbAnalysis on access-dense apps while

@@ -4,11 +4,17 @@
  * trace (cordlint check families "audit" and "nofp").
  *
  * This recomputes, offline and from first principles, the complete set
- * of racing access pairs in a trace -- the same semantics as the
- * IdealDetector (FastTrack-style per-<word,thread> last-access epochs,
- * vector clocks advanced by synchronization only), but unbounded: the
- * full race list is retained and every race records both endpoints, so
- * CORD's online reports can be audited against it.
+ * of racing access pairs in a trace -- per-<word,thread> last-access
+ * epochs kept as full per-thread vectors for every word, vector clocks
+ * advanced by synchronization only -- and retains the full race list
+ * with both endpoints of every race, so CORD's online reports can be
+ * audited against it.
+ *
+ * It is the reference implementation of happens-before in this code
+ * base.  The one production engine, the Ideal detector's FastTrack
+ * core (cord/ideal_detector.h), runs online and, through
+ * analyzeEpochCompressed (analysis/epoch_analyzer.h), offline; tests
+ * pin both uses to this analyzer's result.
  */
 
 #ifndef CORD_ANALYSIS_HB_ANALYZER_H

@@ -13,6 +13,21 @@
  * ordering -- so every racing pair exposed by the execution's causality
  * is found.  Residency is unlimited, exactly like the paper's Ideal
  * runs (which exceeded 2 GB on some inputs).
+ *
+ * This is the code base's one happens-before engine: observe() is also
+ * what the offline epoch analyzer (analysis/epoch_analyzer.h) drives
+ * over a recorded trace.  Per-word state adapts to sharing:
+ *
+ *  - a word only one thread has touched keeps that thread's last read
+ *    and last write Epoch inline and is checked in O(1) -- the
+ *    FastTrack same-thread fast path, which covers most accesses;
+ *  - when a second thread arrives the word is promoted to a pooled row
+ *    of per-thread epochs plus reader and writer bitmasks, so a race
+ *    check visits only threads that touched the word (up to 64
+ *    threads; wider machines scan every thread).
+ *
+ * analysis/hb_analyzer.h's full-vector HbAnalysis is the reference
+ * both uses are tested against.
  */
 
 #ifndef CORD_CORD_IDEAL_DETECTOR_H
@@ -24,6 +39,7 @@
 #include "cord/detector.h"
 #include "cord/vector_clock.h"
 #include "sim/flat_map.h"
+#include "sim/logging.h"
 #include "sim/stats.h"
 #include "sim/types.h"
 
@@ -39,6 +55,17 @@ class IdealDetector : public Detector
 
     void onAccess(const MemEvent &ev) override;
 
+    /**
+     * Apply one committed access to the happens-before state.  A sync
+     * acquire joins the variable's clock; a release joins, then ticks.
+     * A data access calls @p onRace(u, otherWasWrite) once per last
+     * access of another thread u that conflicts with @p ev and does
+     * not happen-before it -- in ascending u, the write check before
+     * the read check -- and then records @p ev's epoch.
+     */
+    template <typename OnRace>
+    void observe(const MemEvent &ev, OnRace &&onRace);
+
     /** Core-agnostic (histories are global), but thread-sized. */
     DetectorGeometry geometry() const override { return {0, numThreads_}; }
 
@@ -46,23 +73,121 @@ class IdealDetector : public Detector
     const VectorClock &threadClock(ThreadId tid) const { return vc_[tid]; }
 
     /** Number of distinct words tracked (memory footprint insight). */
-    std::size_t trackedWords() const { return wordRow_.size(); }
+    std::size_t trackedWords() const { return words_.size(); }
 
   private:
     /**
-     * The word's row of epochs_: numThreads last-write epochs followed
-     * by numThreads last-read epochs, 0 = never.  Allocated zeroed on
-     * the word's first access.
+     * Per-word history.  Exclusive mode keeps the one accessing
+     * thread's last read and write inline; shared mode indexes a row
+     * of epochs_.  Trivially movable so it lives directly in
+     * FlatAddrMap's dense storage.
      */
-    std::uint32_t *history(Addr wordA);
+    struct WordState
+    {
+        static constexpr std::uint32_t kExclusive = 0xffffffffu;
+
+        /** kExclusive, or where the word's row starts in epochs_. */
+        std::uint32_t base = kExclusive;
+
+        /** Exclusive mode only: the owner's last accesses. */
+        Epoch read, write;
+
+        /** Shared mode: threads with a recorded read / write. */
+        std::uint64_t readMask = 0, writeMask = 0;
+    };
+
+    /** Acquire (join) or release (join, then tick) on a sync word. */
+    void synchronize(const MemEvent &ev);
+
+    /** Record one racing pair of @p ev.  Out of line: races are rare,
+     *  and a copy inlined at each of observe()'s four race sites made
+     *  the hot path measurably slower. */
+    [[gnu::noinline]] void reportRace(const MemEvent &ev);
+
+    /** Move exclusive @p w, owned by @p owner, to a fresh row. */
+    void promote(WordState &w, ThreadId owner);
 
     unsigned numThreads_;
+    bool useMasks_; //!< numThreads_ <= 64
     Counter dataRaces_; //!< pre-registered hot-path handle (stats.h)
     std::vector<VectorClock> vc_;
     FlatAddrMap<VectorClock> syncVc_; //!< per sync variable
-    FlatAddrMap<std::uint32_t> wordRow_; //!< word -> row of epochs_
-    std::vector<std::uint32_t> epochs_;  //!< 2 * numThreads per row
+    FlatAddrMap<WordState> words_;
+    /** Shared-mode rows: numThreads last-write epochs followed by
+     *  numThreads last-read epochs, 0 = never. */
+    std::vector<std::uint32_t> epochs_;
 };
+
+template <typename OnRace>
+void
+IdealDetector::observe(const MemEvent &ev, OnRace &&onRace)
+{
+    cord_assert(ev.tid < numThreads_, "unknown thread ", ev.tid);
+    if (ev.isSync()) {
+        // Synchronization maintains happens-before; it is never itself
+        // reported as a data race.
+        synchronize(ev);
+        return;
+    }
+
+    const unsigned n = numThreads_;
+    const VectorClock &tvc = vc_[ev.tid];
+    const std::uint32_t own = tvc[ev.tid];
+    WordState &w = words_[wordAddr(ev.addr)];
+
+    if (w.base == WordState::kExclusive) {
+        const ThreadId owner =
+            w.write.valid() ? w.write.tid()
+                            : (w.read.valid() ? w.read.tid() : ev.tid);
+        if (owner == ev.tid) {
+            // Same-thread fast path: program order, no race possible.
+            Epoch &last = ev.isWrite() ? w.write : w.read;
+            if (last != Epoch(ev.tid, own))
+                last = Epoch(ev.tid, own);
+            return;
+        }
+        // A second thread arrives: check against the one prior
+        // accessor, then promote.
+        if (!tvc.knows(w.write))
+            onRace(owner, true);
+        if (ev.isWrite() && !tvc.knows(w.read))
+            onRace(owner, false);
+        promote(w, owner);
+    } else {
+        // A conflicting last access by another thread whose epoch the
+        // current thread has not yet acquired is concurrent.
+        const std::uint32_t *we = &epochs_[w.base];
+        const std::uint32_t *re = we + n;
+        auto check = [&](ThreadId u) {
+            if (u == ev.tid)
+                return;
+            if (we[u] != 0 && tvc[u] < we[u])
+                onRace(u, true);
+            if (ev.isWrite() && re[u] != 0 && tvc[u] < re[u])
+                onRace(u, false);
+        };
+        if (useMasks_) {
+            std::uint64_t m = ev.isWrite() ? (w.writeMask | w.readMask)
+                                           : w.writeMask;
+            while (m) {
+                check(static_cast<ThreadId>(__builtin_ctzll(m)));
+                m &= m - 1;
+            }
+        } else {
+            for (ThreadId u = 0; u < n; ++u)
+                check(u);
+        }
+    }
+
+    // Record this access's epoch.  Like the fast path, an unchanged
+    // epoch is not rewritten: a forked campaign child then copies only
+    // the pages of state its suffix actually changes.
+    std::uint32_t &last = epochs_[w.base + (ev.isWrite() ? 0 : n) + ev.tid];
+    if (last != own) {
+        last = own;
+        (ev.isWrite() ? w.writeMask : w.readMask) |= 1ull << (ev.tid & 63);
+    }
+}
 
 } // namespace cord
 

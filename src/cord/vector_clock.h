@@ -23,8 +23,8 @@ namespace cord
  * FastTrack writes it "c@t").  An epoch represents the common case of
  * vector-clock metadata -- a location last accessed by exactly one
  * thread -- in O(1) space and compares against a full vector clock in
- * O(1) time, which is what makes the epoch-compressed offline analyzer
- * (analysis/epoch_analyzer.h) linear in practice.
+ * O(1) time, which is what makes the Ideal detector's happens-before
+ * engine (cord/ideal_detector.h) linear in practice.
  *
  * Clock value 0 means "never" everywhere in this code base, so a
  * default-constructed Epoch is the absent epoch.

@@ -57,17 +57,6 @@ defaultJobs()
     return resolveJobs(envCount("CORD_JOBS"));
 }
 
-std::uint64_t
-mixSeed(std::uint64_t seed, std::uint64_t index)
-{
-    // splitmix64 over the (seed, index) pair.
-    std::uint64_t z = seed + index * 0x9e3779b97f4a7c15ULL +
-                      0x9e3779b97f4a7c15ULL;
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-    return z ^ (z >> 31);
-}
-
 ThreadPool::ThreadPool(unsigned workers)
 {
     g_alivePools.fetch_add(1, std::memory_order_relaxed);

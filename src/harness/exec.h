@@ -11,8 +11,8 @@
  * unchanged and produces bit-identical output for any job count.
  *
  * Determinism contract: work(i) must depend only on i (derive per-index
- * seeds with mixSeed, never from shared RNG state drawn inside the
- * worker) and must not mutate state shared with other indices.  The
+ * seeds with Rng::deriveSeed, never from shared RNG state drawn inside
+ * the worker) and must not mutate state shared with other indices.  The
  * run-isolation rules a work body must follow are documented in
  * docs/INTERNALS.md ("Parallel campaign execution").
  *
@@ -49,14 +49,6 @@ unsigned resolveJobs(unsigned requested);
 /** Default job count: the CORD_JOBS environment variable (resolved via
  *  resolveJobs), or 1 -- experiments are sequential unless asked. */
 unsigned defaultJobs();
-
-/**
- * Derive a statistically independent 64-bit seed for index @p index of
- * a sweep seeded with @p seed (splitmix64 of the pair).  Using this --
- * instead of drawing from one shared generator inside workers -- keeps
- * per-index randomness identical for every job count.
- */
-std::uint64_t mixSeed(std::uint64_t seed, std::uint64_t index);
 
 /**
  * Fixed-size pool of worker threads draining one FIFO job queue.

@@ -2,11 +2,14 @@
  * @file
  * Tests for the offline analysis subsystem (src/analysis): lint report
  * plumbing, order-log well-formedness checks, the happens-before
- * ground-truth analyzer, the false-negative coverage auditor and the
+ * ground-truth analyzer (and the online Ideal detector checked against
+ * it on every workload), the false-negative coverage auditor and the
  * no-false-positive checker.
  */
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
 
 #include "analysis/auditor.h"
 #include "analysis/findings.h"
@@ -20,6 +23,8 @@
 #include "harness/runner.h"
 #include "harness/trace.h"
 #include "inject/injector.h"
+#include "sim/rng.h"
+#include "workloads/workload.h"
 
 namespace cord
 {
@@ -126,6 +131,78 @@ TEST(HbAnalyzer, MatchesIdealOnRacyRun)
     // coordinates.
     for (const HbRace &r : hb.races())
         EXPECT_TRUE(hb.racyEndpoint(r.tick, r.word, r.accessor));
+}
+
+/** Run @p setup under Ideal and a TraceRecorder and expect Ideal's
+ *  racing pairs and racy words to equal the full-vector reference's
+ *  on the recorded stream. */
+RunOutcome
+expectIdealMatchesReference(RunSetup setup, const std::string &what)
+{
+    IdealDetector ideal(setup.params.numThreads);
+    TraceRecorder trace;
+    setup.detectors = {&ideal, &trace};
+    const RunOutcome out = runWorkload(setup);
+
+    DecodedTrace t;
+    t.events = trace.events();
+    t.threadEnds = trace.threadEnds();
+    const HbAnalysis hb = HbAnalysis::analyze(t, setup.params.numThreads);
+    EXPECT_EQ(ideal.races().pairs(), hb.pairs()) << what;
+    EXPECT_EQ(ideal.races().words(), hb.racyWords()) << what;
+    return out;
+}
+
+class IdealReference : public ::testing::TestWithParam<std::string>
+{
+};
+
+TEST_P(IdealReference, CleanKnownRacesAndInjectedRuns)
+{
+    const std::string app = GetParam();
+    RunSetup setup;
+    setup.workload = app;
+    setup.params.scale = 1;
+    setup.params.seed = 11;
+    const RunOutcome clean =
+        expectIdealMatchesReference(setup, app + " clean");
+    ASSERT_TRUE(clean.completed) << app;
+
+    if (app == "barnes" || app == "volrend") {
+        RunSetup known = setup;
+        known.params.includeKnownRaces = true;
+        expectIdealMatchesReference(known, app + " known races");
+    }
+
+    Rng rng(11);
+    RemoveOneInstance filter(pickUniformInstance(clean.syncCensus, rng));
+    setup.filter = &filter;
+    setup.maxTicks = clean.ticks * 25 + 1000000; // campaign watchdog
+    expectIdealMatchesReference(setup, app + " injected");
+}
+
+INSTANTIATE_TEST_SUITE_P(AllApps, IdealReference,
+                         ::testing::ValuesIn(workloadNames()),
+                         [](const auto &param) {
+                             std::string n = param.param;
+                             std::replace(n.begin(), n.end(), '-', '_');
+                             return n;
+                         });
+
+TEST(IdealManyThreads, DirectoryBarnesMatchesReference)
+{
+    // Past 64 threads a word's race check scans every thread instead
+    // of its sharer masks.
+    RunSetup setup;
+    setup.workload = "barnes";
+    setup.params.numThreads = 72;
+    setup.params.scale = 1;
+    setup.params.seed = 12;
+    setup.params.includeKnownRaces = true;
+    setup.machine.numCores = 72;
+    setup.machine.coherence = CoherenceKind::Directory;
+    EXPECT_TRUE(
+        expectIdealMatchesReference(setup, "barnes_dir72").completed);
 }
 
 TEST(Auditor, CoverageReproducibleFromTraceAlone)

@@ -1,16 +1,15 @@
 /**
  * @file
  * Unit tests for the parallel experiment engine (harness/exec.h):
- * thread-pool fan-out, in-order merging, exception plumbing, seed
- * mixing, and the headline guarantee -- runCampaign produces
- * bit-identical results and manifests for every job count.
+ * thread-pool fan-out, in-order merging, exception plumbing, and the
+ * headline guarantee -- runCampaign produces bit-identical results and
+ * manifests for every job count.
  */
 
 #include <gtest/gtest.h>
 
 #include <chrono>
 #include <cstdlib>
-#include <set>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -18,6 +17,7 @@
 #include "harness/exec.h"
 #include "harness/experiments.h"
 #include "obs/manifest.h"
+#include "sim/rng.h"
 
 namespace cord
 {
@@ -50,16 +50,6 @@ TEST(ParallelExec, JobsEnvRejectsMalformedValues)
     }
 }
 
-TEST(ParallelExec, MixSeedIsDeterministicAndSpreads)
-{
-    EXPECT_EQ(mixSeed(42, 7), mixSeed(42, 7));
-    EXPECT_NE(mixSeed(1, 0), mixSeed(2, 0));
-    std::set<std::uint64_t> seen;
-    for (std::uint64_t i = 0; i < 1000; ++i)
-        seen.insert(mixSeed(42, i));
-    EXPECT_EQ(seen.size(), 1000u); // adjacent indices never collide
-}
-
 TEST(ParallelExec, OrderedMergeRunsInSubmissionOrder)
 {
     // Make later indices finish first: out-of-order completion must
@@ -88,7 +78,7 @@ TEST(ParallelExec, OrderedMatchesSequentialForEveryJobCount)
         std::vector<std::uint64_t> out;
         parallelForOrdered(
             100, jobs,
-            [](std::size_t i) { return mixSeed(99, i) % 1000; },
+            [](std::size_t i) { return Rng::deriveSeed(99, i) % 1000; },
             [&](std::size_t, std::uint64_t &&v) { out.push_back(v); });
         return out;
     };

@@ -94,6 +94,29 @@ racyRecording()
     return rec;
 }
 
+/** A 72-thread barnes recording with its known races: past 64 threads
+ *  a word's race check scans every thread instead of its sharer
+ *  masks. */
+Recording
+manyThreadRecording()
+{
+    TraceRecorder trace;
+    RunSetup setup;
+    setup.workload = "barnes";
+    setup.params.numThreads = 72;
+    setup.params.scale = 1;
+    setup.params.seed = 12;
+    setup.params.includeKnownRaces = true;
+    setup.machine.numCores = 72;
+    setup.detectors = {&trace};
+
+    Recording rec;
+    rec.completed = runWorkload(setup).completed;
+    rec.trace.events = trace.events();
+    rec.trace.threadEnds = trace.threadEnds();
+    return rec;
+}
+
 /** Hand-built trace: one sync word L, one data word X, three threads.
  *  HB orders t0's write before t2's via the accumulated sync clock of
  *  L; the W order only keeps t2's read-from edge to t1's write, so the
@@ -190,6 +213,7 @@ TEST(EpochCompression, FieldIdenticalToFullVectors)
     for (const char *app : {"fft", "radix", "ocean"})
         recs.push_back(record(app, 11, 4));
     recs.push_back(racyRecording());
+    recs.push_back(manyThreadRecording());
 
     for (const Recording &rec : recs) {
         ASSERT_TRUE(rec.completed);

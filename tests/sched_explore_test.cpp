@@ -4,13 +4,18 @@
  * integration with the harness: the BaselinePolicy byte-identity
  * regression, exact schedule record/replay across workloads, job-count
  * invariance, the campaign schedules axis, CORD order-log replay of a
- * perturbed schedule, and a bounded mutation test of the schedule-log
- * decoder on a recorded log.
+ * perturbed schedule, a bounded mutation test of the schedule-log
+ * decoder on a recorded log, and `cordsim --replay-sched` refusing a
+ * delay no policy records.
  */
 
 #include <gtest/gtest.h>
 
+#include <sys/wait.h>
+
+#include <chrono>
 #include <cstdint>
+#include <cstdio>
 #include <iterator>
 #include <string>
 #include <vector>
@@ -396,6 +401,75 @@ TEST(ScheduleLogMutation, EveryMutantDecodesOrIsRefused)
     EXPECT_EQ(accepted + refused, kMutants);
     EXPECT_GT(accepted, 0u); // flips inside a decision stay well framed
     EXPECT_GT(refused, 0u);
+}
+
+/** Exit status of shell command @p cmd with stderr folded into @p out
+ *  (-1 when it did not exit). */
+int
+runCommand(const std::string &cmd, std::string &out)
+{
+    std::FILE *pipe = ::popen((cmd + " 2>&1").c_str(), "r");
+    if (!pipe)
+        return -1;
+    out.clear();
+    char buf[256];
+    while (std::fgets(buf, sizeof buf, pipe))
+        out += buf;
+    const int status = ::pclose(pipe);
+    return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+}
+
+/**
+ * A well-framed log whose first Delay is 2^63-1 -- longer than any
+ * policy records -- is refused when cordsim loads it (exit 2, naming
+ * the decision), not replayed until the watchdog fires.
+ */
+TEST(ScheduleReplayCli, OversizedDelayIsRefusedAtLoad)
+{
+    ExploreSpec spec;
+    spec.workload = "fft";
+    spec.params.numThreads = 4;
+    spec.params.scale = 1;
+    spec.params.seed = 13;
+    spec.schedules = 2;
+    spec.sched.kind = SchedKind::Perturb;
+    const ExploreResult res = exploreSchedules(spec);
+    ASSERT_EQ(res.runs.size(), 2u);
+    const ScheduleLog &recorded = res.runs[1].log;
+
+    ScheduleLog log;
+    log.policyKind = recorded.policyKind;
+    log.seed = recorded.seed;
+    log.numThreads = recorded.numThreads;
+    log.signature = recorded.signature;
+    std::size_t first = recorded.size();
+    for (std::size_t i = 0; i < recorded.size(); ++i) {
+        ScheduleDecision d = recorded.entries()[i];
+        if (first == recorded.size() && d.point == SchedPoint::Delay) {
+            first = i;
+            d.value = ~std::uint64_t{0} >> 1;
+        }
+        log.push(d.point, d.value);
+    }
+    ASSERT_LT(first, recorded.size()) << "the log records no delay";
+    const std::string path =
+        ::testing::TempDir() + "oversized_delay.schedlog";
+    saveScheduleLog(log, path);
+
+    std::string out;
+    const auto start = std::chrono::steady_clock::now();
+    const int status = runCommand(std::string(CORDSIM_BIN) +
+                                      " --replay-sched " + path +
+                                      " --workload fft",
+                                  out);
+    const std::chrono::duration<double> took =
+        std::chrono::steady_clock::now() - start;
+    std::remove(path.c_str());
+    EXPECT_EQ(status, 2) << out;
+    EXPECT_NE(out.find("decision " + std::to_string(first) + " "),
+              std::string::npos)
+        << out;
+    EXPECT_LT(took.count(), 1.0);
 }
 
 TEST(CampaignSchedules, SingleScheduleMatchesLegacyCampaign)

@@ -40,6 +40,7 @@
 #include "obs/manifest.h"
 #include "obs/tracer.h"
 #include "sched/explore.h"
+#include "sched/perturb.h"
 #include "sched/replay.h"
 #include "sim/parse_num.h"
 
@@ -684,6 +685,18 @@ runReplaySchedMode(const Options &opt)
     std::string err;
     if (!loadScheduleLog(opt.replaySchedPath, log, &err))
         fail(opt.replaySchedPath + ": " + err);
+    // No recording policy stalls longer than Perturb's cap (Baseline
+    // and PCT never delay), and replaying a larger Delay would stall
+    // the run until the watchdog.
+    const Tick maxDelay = PerturbConfig{}.maxDelay;
+    for (std::size_t i = 0; i < log.size(); ++i) {
+        const ScheduleDecision &d = log.entries()[i];
+        if (d.point == SchedPoint::Delay && d.value > maxDelay)
+            fail(opt.replaySchedPath + ": decision " + std::to_string(i) +
+                 " delays " + std::to_string(d.value) +
+                 " ticks, more than any policy records (" +
+                 std::to_string(maxDelay) + ")");
+    }
     if (log.numThreads != opt.threads)
         fail("schedule log was recorded with " +
              std::to_string(log.numThreads) +
