@@ -105,12 +105,13 @@ CordDetector::foldIntoMemTs(const LineState &ls, Addr lineA, Tick now,
 }
 
 void
-CordDetector::snoop(CoreId core, Addr addr, bool isWrite, Ts64 clock,
-                    SnoopResult &sr)
+CordDetector::snoop(CoreId core, Addr addr,
+                    HistoryDirectory<LineState>::Sharers sharers,
+                    bool isWrite, Ts64 clock, SnoopResult &sr)
 {
     const std::uint16_t wbit =
         static_cast<std::uint16_t>(1u << wordInLine(addr));
-    histories_.forEachRemote(core, addr, [&](CoreId oc, LineState &ls) {
+    histories_.forEachRemote(core, addr, sharers, [&](CoreId, LineState &ls) {
         sr.anyRemoteLine = true;
         // The probed transaction clears remote check-filter bits: the
         // remote cache can no longer assume the line is conflict-free.
@@ -149,21 +150,24 @@ CordDetector::snoop(CoreId core, Addr addr, bool isWrite, Ts64 clock,
 }
 
 void
-CordDetector::timestampLocal(CoreId core, Addr addr, bool isWrite,
-                             Ts64 clock, const SnoopResult *snoopRes,
-                             Tick now)
+CordDetector::timestampLocal(CoreId core, Addr addr, LineState *local,
+                             bool isWrite, Ts64 clock,
+                             const SnoopResult *snoopRes, Tick now)
 {
     const std::uint16_t wbit =
         static_cast<std::uint16_t>(1u << wordInLine(addr));
-    LineState &ls = histories_.getOrInsert(
-        core, addr, [&](Addr victimAddr, LineState &st) {
-            foldIntoMemTs(st, victimAddr, now,
-                          FoldCause::LineDisplacement);
-            lineDisplacements_.inc();
-            if (EventTracer *t = EventTracer::active())
-                t->emit(TraceEventKind::HistoryDisplacement, now,
-                        kInvalidThread, core, victimAddr, 0);
-        });
+    LineState &ls =
+        local ? *local
+              : histories_.getOrInsert(
+                    core, addr, [&](Addr victimAddr, LineState &st) {
+                        foldIntoMemTs(st, victimAddr, now,
+                                      FoldCause::LineDisplacement);
+                        lineDisplacements_.inc();
+                        if (EventTracer *t = EventTracer::active())
+                            t->emit(TraceEventKind::HistoryDisplacement,
+                                    now, kInvalidThread, core,
+                                    victimAddr, 0);
+                    });
 
     // Find an entry already carrying this clock value.
     Entry *slot = nullptr;
@@ -309,8 +313,13 @@ CordDetector::onAccess(const MemEvent &ev)
         lastTid_[ev.core] = ev.tid;
     }
 
-    LineState *local = histories_.find(ev.core, ev.addr);
+    // Read the local line and the line's sharers once.  touch() marks
+    // the line most-recently-used, as timestampLocal's insert would;
+    // nothing before timestampLocal changes this core's history, and
+    // the sharer view follows the write invalidation below.
+    LineState *local = histories_.touch(ev.core, ev.addr);
     const bool localHit = local != nullptr;
+    const auto sharers = histories_.sharers(ev.addr);
 
     // Does this access need a race check on the bus?
     bool needCheck = true;
@@ -333,7 +342,7 @@ CordDetector::onAccess(const MemEvent &ev)
     SnoopResult sr;
     bool memServed = false;
     if (needCheck) {
-        snoop(ev.core, ev.addr, isW, clock, sr);
+        snoop(ev.core, ev.addr, sharers, isW, clock, sr);
         raceChecks_.inc();
         if (EventTracer *t = EventTracer::active())
             t->emit(TraceEventKind::HistoryLookup, ev.tick,
@@ -342,9 +351,8 @@ CordDetector::onAccess(const MemEvent &ev)
         // traffic; a miss's check piggybacks on the miss transaction.
         if (localHit && sink_) {
             probes_.clear();
-            histories_.forEachSharer(ev.core, ev.addr, [&](CoreId oc) {
-                probes_.push_back(oc);
-            });
+            sharers.forEachOther(
+                ev.core, [&](CoreId oc) { probes_.push_back(oc); });
             sink_->raceCheck(ev.tick, ev.addr, probes_);
         }
         memServed = !localHit && !sr.anyRemoteLine;
@@ -418,7 +426,7 @@ CordDetector::onAccess(const MemEvent &ev)
     // timestamps.
     if (isW) {
         histories_.invalidateRemote(
-            ev.core, ev.addr, [&](CoreId oc, LineState &st) {
+            ev.core, ev.addr, sharers, [&](CoreId oc, LineState &st) {
                 foldIntoMemTs(st, ev.addr, ev.tick,
                               FoldCause::Invalidation);
                 coherenceInvalidations_.inc();
@@ -428,7 +436,7 @@ CordDetector::onAccess(const MemEvent &ev)
             });
     }
 
-    timestampLocal(ev.core, ev.addr, isW, newClock,
+    timestampLocal(ev.core, ev.addr, local, isW, newClock,
                    needCheck ? &sr : nullptr, ev.tick);
 
     // Clock increment after every synchronization write (Section 2.4).

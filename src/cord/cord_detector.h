@@ -176,9 +176,11 @@ class CordDetector : public Detector
     /** Race check for (core, word) against the remote sharers'
      *  histories (a broadcast snoop under snooping, point-to-point
      *  probes under a directory; the same answer either way).
-     *  Accumulates into @p sr, which must be default-constructed. */
-    void snoop(CoreId core, Addr addr, bool isWrite, Ts64 clock,
-               SnoopResult &sr);
+     *  @p sharers are @p addr's.  Accumulates into @p sr, which must
+     *  be default-constructed. */
+    void snoop(CoreId core, Addr addr,
+               HistoryDirectory<LineState>::Sharers sharers, bool isWrite,
+               Ts64 clock, SnoopResult &sr);
 
     /** Fold a displaced/invalidated line history into the main-memory
      *  timestamp bank homing @p lineA, notifying the sink on change
@@ -187,8 +189,11 @@ class CordDetector : public Detector
     void foldIntoMemTs(const LineState &ls, Addr lineA, Tick now,
                        FoldCause cause);
 
-    /** Insert the committed access into the local history. */
-    void timestampLocal(CoreId core, Addr addr, bool isWrite, Ts64 clock,
+    /** Insert the committed access into the local history: into
+     *  @p local, the line onAccess found resident, or else a fresh
+     *  line. */
+    void timestampLocal(CoreId core, Addr addr, LineState *local,
+                        bool isWrite, Ts64 clock,
                         const SnoopResult *snoopRes, Tick now);
 
     /** Periodic stale-timestamp eviction (Section 2.7.5). */

@@ -11,7 +11,8 @@
  * main-memory timestamps, Section 2.5).
  *
  * HistoryDirectory pairs a detector's per-core caches with a line ->
- * sharer-set index: only caches holding a line answer its snoop (2.2).
+ * sharer-set index (mem/line_sharers.h): only caches holding a line
+ * answer its snoop (2.2).
  *
  * The eviction callback is a template parameter (not std::function):
  * getOrInsert/invalidate are instantiated per call-site lambda, so the
@@ -23,13 +24,13 @@
 #ifndef CORD_CORD_HISTORY_CACHE_H
 #define CORD_CORD_HISTORY_CACHE_H
 
-#include <bit>
 #include <cstdint>
 #include <optional>
 #include <vector>
 
 #include "mem/cache_array.h"
 #include "mem/geometry.h"
+#include "mem/line_sharers.h"
 #include "sim/flat_map.h"
 #include "sim/logging.h"
 #include "sim/types.h"
@@ -76,6 +77,19 @@ class HistoryCache
         if (infinite_)
             return map_.find(la);
         auto *line = array_->find(la);
+        return line ? &line->state : nullptr;
+    }
+
+    /** find(), marking a finite cache's line most-recently-used as
+     *  getOrInsert would (for a caller that reuses the line instead
+     *  of looking it up again). */
+    StateT *
+    touch(Addr a)
+    {
+        const Addr la = lineAddr(a);
+        if (infinite_)
+            return map_.find(la);
+        auto *line = array_->touch(la);
         return line ? &line->state : nullptr;
     }
 
@@ -194,26 +208,35 @@ class HistoryCache
  * One detector's per-core history caches plus the line -> sharer-set
  * index over them: which cores' caches hold the line.  The index
  * changes only in getOrInsert (a fresh insert and its LRU victim) and
- * invalidate, so it always equals a scan of the caches.  It is keyed
- * by lineAddr | (core / 64), since line addresses leave their low bits
- * free: one 64-bit mask per 64 cores, one lookup up to 64 cores.
- * Remote sharers are visited in ascending core order.  HistoryCache's
+ * invalidate, so it always equals a scan of the caches.  Remote
+ * sharers are visited in ascending core order.  HistoryCache's
  * reference-stability contract applies unchanged.
  */
 template <typename StateT>
 class HistoryDirectory
 {
   public:
+    using Sharers = LineSharers::Set;
+
     HistoryDirectory(unsigned numCores, bool infinite,
                      const CacheGeometry &geo)
         : caches_(numCores, infinite ? HistoryCache<StateT>()
                                      : HistoryCache<StateT>(geo)),
-          groups_((numCores + 63) / 64)
+          sharers_(numCores)
     {
-        cord_assert(groups_ <= kLineBytes, "too many cores: ", numCores);
     }
 
     StateT *find(CoreId core, Addr a) { return caches_[core].find(a); }
+
+    /** HistoryCache::touch on @p core's cache. */
+    StateT *touch(CoreId core, Addr a) { return caches_[core].touch(a); }
+
+    /**
+     * The cores holding @p a's line.  The set is a view: it follows
+     * every later getOrInsert and invalidate, so an access may read it
+     * once and pass it to forEachRemote and invalidateRemote.
+     */
+    Sharers sharers(Addr a) { return sharers_.of(a); }
 
     /** HistoryCache::getOrInsert on @p core's cache. */
     template <typename EvictFn>
@@ -225,11 +248,11 @@ class HistoryDirectory
             a,
             [&](Addr victim, StateT &vs) {
                 onEvict(victim, vs);
-                dropSharer(victim, core);
+                dropSharer(sharers_.of(victim), core);
             },
             inserted);
         if (inserted)
-            index_[key(a, core)] |= bit(core);
+            sharers_.of(a).insert(core);
         return st;
     }
 
@@ -239,27 +262,31 @@ class HistoryDirectory
     invalidate(CoreId core, Addr a, EvictFn &&onEvict)
     {
         if (caches_[core].invalidate(a, onEvict))
-            dropSharer(a, core);
+            dropSharer(sharers_.of(a), core);
     }
 
-    /** fn(CoreId, StateT &) on every other core holding the line; @p fn
-     *  must not insert into or invalidate from this directory. */
+    /** fn(CoreId, StateT &) on every core of @p s, @p a's sharers,
+     *  other than @p self; @p fn must not insert into or invalidate
+     *  from this directory. */
     template <typename Fn>
     void
-    forEachRemote(CoreId self, Addr a, Fn &&fn)
+    forEachRemote(CoreId self, Addr a, Sharers s, Fn &&fn)
     {
-        forEachSharer(self, a,
-                      [&](CoreId c) { fn(c, *caches_[c].find(a)); });
+        s.forEachOther(self,
+                       [&](CoreId c) { fn(c, *caches_[c].find(a)); });
     }
 
     /** Drop every other core's copy of the line (a committed write),
-     *  passing each to onEvict(CoreId, StateT &) first. */
+     *  passing each to onEvict(CoreId, StateT &) first; @p s is
+     *  @p a's sharers. */
     template <typename EvictFn>
     void
-    invalidateRemote(CoreId self, Addr a, EvictFn &&onEvict)
+    invalidateRemote(CoreId self, Addr a, Sharers s, EvictFn &&onEvict)
     {
-        forEachSharer(self, a, [&](CoreId c) {
-            invalidate(c, a, [&](Addr, StateT &st) { onEvict(c, st); });
+        s.forEachOther(self, [&](CoreId c) {
+            if (caches_[c].invalidate(
+                    a, [&](Addr, StateT &st) { onEvict(c, st); }))
+                dropSharer(s, c);
         });
     }
 
@@ -270,38 +297,16 @@ class HistoryDirectory
         caches_[core].forEach(fn);
     }
 
-    /** fn(core) per sharer other than @p self, ascending; each group's
-     *  mask is copied first, so @p fn may drop the visited copy. */
-    template <typename Fn>
-    void
-    forEachSharer(CoreId self, Addr a, Fn &&fn)
-    {
-        for (unsigned g = 0; g < groups_; ++g) {
-            const std::uint64_t *mp = index_.find(lineAddr(a) | g);
-            std::uint64_t m = mp ? *mp : 0;
-            if (self / 64 == g)
-                m &= ~bit(self);
-            for (; m != 0; m &= m - 1)
-                fn(static_cast<CoreId>(g * 64 + std::countr_zero(m)));
-        }
-    }
-
   private:
-    static Addr key(Addr a, CoreId core) { return lineAddr(a) | core / 64; }
-    static std::uint64_t bit(CoreId core) { return 1ull << core % 64; }
-
-    void
-    dropSharer(Addr a, CoreId core)
+    static void
+    dropSharer(Sharers s, CoreId core)
     {
-        std::uint64_t *m = index_.find(key(a, core));
-        cord_assert(m && (*m & bit(core)), "sharer index lost ", core);
-        if ((*m &= ~bit(core)) == 0)
-            index_.erase(key(a, core));
+        cord_assert(s.contains(core), "sharer index lost ", core);
+        s.erase(core);
     }
 
     std::vector<HistoryCache<StateT>> caches_; //!< one per core
-    FlatAddrMap<std::uint64_t> index_;         //!< line|group -> cores
-    unsigned groups_;                          //!< 64-core groups
+    LineSharers sharers_;
 };
 
 } // namespace cord

@@ -35,9 +35,12 @@ void
 IdealDetector::synchronize(const MemEvent &ev)
 {
     VectorClock &tvc = vc_[ev.tid];
-    VectorClock &svc = syncVc_[wordAddr(ev.addr)];
-    if (svc.size() == 0)
-        svc = VectorClock(numThreads_);
+    WordState &w = words_[ev.addr / kWordBytes];
+    if (w.sync == WordState::kNoSync) {
+        w.sync = static_cast<std::uint32_t>(syncVc_.size());
+        syncVc_.emplace_back(numThreads_);
+    }
+    VectorClock &svc = syncVc_[w.sync];
     if (!ev.isWrite()) {
         // Acquire: learn everything the last releaser knew.
         tvc.join(svc);
@@ -52,15 +55,17 @@ IdealDetector::synchronize(const MemEvent &ev)
 void
 IdealDetector::promote(WordState &w, ThreadId owner)
 {
+    const WordState::Last last = w.last;
     w.base = static_cast<std::uint32_t>(epochs_.size());
+    w.seen = WordState::Seen{0, 0};
     epochs_.resize(epochs_.size() + 2 * std::size_t{numThreads_}, 0);
-    if (w.write.valid()) {
-        epochs_[w.base + owner] = w.write.clock();
-        w.writeMask |= 1ull << (owner & 63);
+    if (last.write.valid()) {
+        epochs_[w.base + owner] = last.write.clock();
+        w.seen.writers |= 1ull << (owner & 63);
     }
-    if (w.read.valid()) {
-        epochs_[w.base + numThreads_ + owner] = w.read.clock();
-        w.readMask |= 1ull << (owner & 63);
+    if (last.read.valid()) {
+        epochs_[w.base + numThreads_ + owner] = last.read.clock();
+        w.seen.readers |= 1ull << (owner & 63);
     }
 }
 

@@ -26,6 +26,11 @@
  *    check visits only threads that touched the word (up to 64
  *    threads; wider machines scan every thread).
  *
+ * Word states live in a page-granular table (sim/paged_table.h) keyed
+ * by word index, so the common access reaches its word with a compare
+ * and an array index; a sync variable's clock is found through its
+ * word's entry too.
+ *
  * analysis/hb_analyzer.h's full-vector HbAnalysis is the reference
  * both uses are tested against.
  */
@@ -38,8 +43,8 @@
 
 #include "cord/detector.h"
 #include "cord/vector_clock.h"
-#include "sim/flat_map.h"
 #include "sim/logging.h"
+#include "sim/paged_table.h"
 #include "sim/stats.h"
 #include "sim/types.h"
 
@@ -72,29 +77,48 @@ class IdealDetector : public Detector
     /** Current vector clock of @p tid. */
     const VectorClock &threadClock(ThreadId tid) const { return vc_[tid]; }
 
-    /** Number of distinct words tracked (memory footprint insight). */
-    std::size_t trackedWords() const { return words_.size(); }
+    /** Number of distinct words with a data access (memory footprint
+     *  insight). */
+    std::size_t trackedWords() const { return trackedWords_; }
 
   private:
     /**
      * Per-word history.  Exclusive mode keeps the one accessing
      * thread's last read and write inline; shared mode indexes a row
-     * of epochs_.  Trivially movable so it lives directly in
-     * FlatAddrMap's dense storage.
+     * of epochs_ and keeps, in the same 16 bytes, which threads have a
+     * recorded read or write.  A word no data access has reached is
+     * exclusive with neither epoch valid.
      */
     struct WordState
     {
         static constexpr std::uint32_t kExclusive = 0xffffffffu;
+        static constexpr std::uint32_t kNoSync = 0xffffffffu;
+
+        struct Last
+        {
+            Epoch read, write;
+        };
+
+        struct Seen
+        {
+            std::uint64_t readers, writers;
+        };
 
         /** kExclusive, or where the word's row starts in epochs_. */
         std::uint32_t base = kExclusive;
 
-        /** Exclusive mode only: the owner's last accesses. */
-        Epoch read, write;
+        /** kNoSync, or the word's clock in syncVc_ once a sync access
+         *  reached it. */
+        std::uint32_t sync = kNoSync;
 
-        /** Shared mode: threads with a recorded read / write. */
-        std::uint64_t readMask = 0, writeMask = 0;
+        /** promote() switches the word from last to seen. */
+        union
+        {
+            Last last = {}; //!< exclusive mode: the owner's accesses
+            Seen seen;      //!< shared mode: thread bitmasks
+        };
     };
+    static_assert(sizeof(WordState) == 24, "a word's state is 24 bytes");
 
     /** Acquire (join) or release (join, then tick) on a sync word. */
     void synchronize(const MemEvent &ev);
@@ -111,8 +135,12 @@ class IdealDetector : public Detector
     bool useMasks_; //!< numThreads_ <= 64
     Counter dataRaces_; //!< pre-registered hot-path handle (stats.h)
     std::vector<VectorClock> vc_;
-    FlatAddrMap<VectorClock> syncVc_; //!< per sync variable
-    FlatAddrMap<WordState> words_;
+    std::vector<VectorClock> syncVc_; //!< per sync variable
+    /** By word index.  128 words (512 bytes of address space, 3KB of
+     *  state) per page keep the sparse words of the server apps
+     *  cheap. */
+    PagedTable<WordState, 128> words_;
+    std::size_t trackedWords_ = 0;
     /** Shared-mode rows: numThreads last-write epochs followed by
      *  numThreads last-read epochs, 0 = never. */
     std::vector<std::uint32_t> epochs_;
@@ -133,24 +161,28 @@ IdealDetector::observe(const MemEvent &ev, OnRace &&onRace)
     const unsigned n = numThreads_;
     const VectorClock &tvc = vc_[ev.tid];
     const std::uint32_t own = tvc[ev.tid];
-    WordState &w = words_[wordAddr(ev.addr)];
+    WordState &w = words_[ev.addr / kWordBytes];
 
     if (w.base == WordState::kExclusive) {
-        const ThreadId owner =
-            w.write.valid() ? w.write.tid()
-                            : (w.read.valid() ? w.read.tid() : ev.tid);
+        ThreadId owner = ev.tid;
+        if (w.last.write.valid())
+            owner = w.last.write.tid();
+        else if (w.last.read.valid())
+            owner = w.last.read.tid();
+        else
+            ++trackedWords_; // the word's first data access
         if (owner == ev.tid) {
             // Same-thread fast path: program order, no race possible.
-            Epoch &last = ev.isWrite() ? w.write : w.read;
+            Epoch &last = ev.isWrite() ? w.last.write : w.last.read;
             if (last != Epoch(ev.tid, own))
                 last = Epoch(ev.tid, own);
             return;
         }
         // A second thread arrives: check against the one prior
         // accessor, then promote.
-        if (!tvc.knows(w.write))
+        if (!tvc.knows(w.last.write))
             onRace(owner, true);
-        if (ev.isWrite() && !tvc.knows(w.read))
+        if (ev.isWrite() && !tvc.knows(w.last.read))
             onRace(owner, false);
         promote(w, owner);
     } else {
@@ -167,8 +199,9 @@ IdealDetector::observe(const MemEvent &ev, OnRace &&onRace)
                 onRace(u, false);
         };
         if (useMasks_) {
-            std::uint64_t m = ev.isWrite() ? (w.writeMask | w.readMask)
-                                           : w.writeMask;
+            std::uint64_t m = ev.isWrite()
+                                  ? (w.seen.writers | w.seen.readers)
+                                  : w.seen.writers;
             while (m) {
                 check(static_cast<ThreadId>(__builtin_ctzll(m)));
                 m &= m - 1;
@@ -185,7 +218,8 @@ IdealDetector::observe(const MemEvent &ev, OnRace &&onRace)
     std::uint32_t &last = epochs_[w.base + (ev.isWrite() ? 0 : n) + ev.tid];
     if (last != own) {
         last = own;
-        (ev.isWrite() ? w.writeMask : w.readMask) |= 1ull << (ev.tid & 63);
+        (ev.isWrite() ? w.seen.writers : w.seen.readers) |=
+            1ull << (ev.tid & 63);
     }
 }
 

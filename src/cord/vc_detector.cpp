@@ -45,16 +45,17 @@ VcDetector::foldIntoMemVc(const LineState &ls)
 }
 
 void
-VcDetector::timestampLocal(CoreId core, Addr addr, bool isWrite,
-                           const VectorClock &tvc)
+VcDetector::timestampLocal(CoreId core, Addr addr, LineState *local,
+                           bool isWrite, const VectorClock &tvc)
 {
     const std::uint16_t wbit =
         static_cast<std::uint16_t>(1u << wordInLine(addr));
-    LineState &ls = histories_.getOrInsert(
-        core, addr, [&](Addr, LineState &st) {
-            foldIntoMemVc(st);
-            lineDisplacements_.inc();
-        });
+    LineState &ls = local ? *local
+                          : histories_.getOrInsert(
+                                core, addr, [&](Addr, LineState &st) {
+                                    foldIntoMemVc(st);
+                                    lineDisplacements_.inc();
+                                });
     Entry *slot = nullptr;
     for (unsigned i = 0; i < cfg_.entriesPerLine; ++i) {
         if (ls.e[i].valid && ls.e[i].vc == tvc) {
@@ -100,42 +101,46 @@ VcDetector::onAccess(const MemEvent &ev)
         static_cast<std::uint16_t>(1u << wordInLine(ev.addr));
 
     VectorClock &tvc = vc_[ev.tid];
-    const bool localHit = histories_.find(ev.core, ev.addr) != nullptr;
+    // The local line and the line's sharers are read once per access
+    // (see CordDetector::onAccess).
+    LineState *local = histories_.touch(ev.core, ev.addr);
+    const auto sharers = histories_.sharers(ev.addr);
 
     // Snoop remote histories for conflicts on this word.
     bool anyRemoteLine = false;
-    histories_.forEachRemote(ev.core, ev.addr, [&](CoreId, LineState &ls) {
-        anyRemoteLine = true;
-        for (const Entry &e : ls.e) {
-            if (!e.valid)
-                continue;
-            const bool conflicts =
-                isW ? (((e.readBits | e.writeBits) & wbit) != 0)
-                    : ((e.writeBits & wbit) != 0);
-            if (conflicts && !e.vc.lessEq(tvc)) {
-                // Unordered conflict: a race.  Data races do not
-                // introduce ordering (the VC configurations are
-                // detection baselines, not order recorders), so they
-                // do not mask later races; sync races join as usual.
-                if (!sync) {
-                    report_.record(
-                        {ev.tick, ev.addr, ev.tid, ev.kind, 0, 0});
-                    dataRaces_.inc();
-                } else {
+    histories_.forEachRemote(
+        ev.core, ev.addr, sharers, [&](CoreId, LineState &ls) {
+            anyRemoteLine = true;
+            for (const Entry &e : ls.e) {
+                if (!e.valid)
+                    continue;
+                const bool conflicts =
+                    isW ? (((e.readBits | e.writeBits) & wbit) != 0)
+                        : ((e.writeBits & wbit) != 0);
+                if (conflicts && !e.vc.lessEq(tvc)) {
+                    // Unordered conflict: a race.  Data races do not
+                    // introduce ordering (the VC configurations are
+                    // detection baselines, not order recorders), so they
+                    // do not mask later races; sync races join as usual.
+                    if (!sync) {
+                        report_.record(
+                            {ev.tick, ev.addr, ev.tid, ev.kind, 0, 0});
+                        dataRaces_.inc();
+                    } else {
+                        tvc.join(e.vc);
+                    }
+                    orderRaces_.inc();
+                }
+                if (sync && !isW && (e.writeBits & wbit) != 0) {
+                    // Sync read acquires the writer's ordering.
                     tvc.join(e.vc);
                 }
-                orderRaces_.inc();
             }
-            if (sync && !isW && (e.writeBits & wbit) != 0) {
-                // Sync read acquires the writer's ordering.
-                tvc.join(e.vc);
-            }
-        }
-    });
+        });
 
     // Line supplied by memory: consult the memory vector timestamps,
     // never reporting races found this way.
-    if (!localHit && !anyRemoteLine && cfg_.memTimestamps) {
+    if (!local && !anyRemoteLine && cfg_.memTimestamps) {
         if (!memWriteVc_.lessEq(tvc)) {
             tvc.join(memWriteVc_);
             memVcJoins_.inc();
@@ -148,10 +153,10 @@ VcDetector::onAccess(const MemEvent &ev)
 
     if (isW)
         histories_.invalidateRemote(
-            ev.core, ev.addr,
+            ev.core, ev.addr, sharers,
             [&](CoreId, LineState &st) { foldIntoMemVc(st); });
 
-    timestampLocal(ev.core, ev.addr, isW, tvc);
+    timestampLocal(ev.core, ev.addr, local, isW, tvc);
 
     // Advance own component after every synchronization write.
     if (sync && isW)

@@ -102,8 +102,10 @@ class VcDetector : public Detector
     /** Join a displaced entry into the memory vector timestamps. */
     void foldIntoMemVc(const Entry &e);
     void foldIntoMemVc(const LineState &ls);
-    void timestampLocal(CoreId core, Addr addr, bool isWrite,
-                        const VectorClock &vc);
+    /** Insert the committed access into @p local, the line onAccess
+     *  found resident, or else a fresh line. */
+    void timestampLocal(CoreId core, Addr addr, LineState *local,
+                        bool isWrite, const VectorClock &vc);
 
     VcConfig cfg_;
     HistoryDirectory<LineState> histories_;

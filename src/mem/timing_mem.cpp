@@ -12,7 +12,7 @@ TimingMemSystem::TimingMemSystem(const MachineConfig &cfg)
     : cfg_(cfg),
       addrBus_(cfg.addrBusOccupancy, 0),
       dataBus_(cfg.dataBusOccupancy, 1),
-      memBus_(cfg.offChipBusOccupancy, 2)
+      memBus_(cfg.offChipBusOccupancy, 2), holders_(cfg.numCores)
 {
     cfg_.l1.validate();
     cfg_.l2.validate();
@@ -42,21 +42,6 @@ TimingMemSystem::requestChannel(Addr line)
     return addrBus_;
 }
 
-bool
-TimingMemSystem::remoteHolders(CoreId core, Addr line,
-                               std::vector<CoreId> &holders) const
-{
-    holders.clear();
-    for (CoreId c = 0; c < cfg_.numCores; ++c) {
-        if (c == core)
-            continue;
-        const auto *l = l2_[c].find(line);
-        if (l && l->state.mesi != Mesi::Invalid)
-            holders.push_back(c);
-    }
-    return !holders.empty();
-}
-
 void
 TimingMemSystem::handleL2Victim(CoreId core,
                                 const CacheArray<L2State>::Line &victim,
@@ -64,6 +49,7 @@ TimingMemSystem::handleL2Victim(CoreId core,
 {
     // Inclusion: L1 copy goes with the L2 line.
     l1_[core].invalidate(victim.addr);
+    holders_.of(victim.addr).erase(core);
     if (EventTracer *t = EventTracer::active())
         t->emit(TraceEventKind::CacheEvict, now, kInvalidThread, core,
                 victim.addr, victim.state.mesi == Mesi::Modified);
@@ -101,12 +87,12 @@ TimingMemSystem::access(CoreId core, Addr addr, bool isWrite, Tick now)
             const Tick grant = requestChannel(line).acquire(now);
             done = grant + cfg_.upgradeLatency;
             res.usedAddrBus = true;
-            for (CoreId c = 0; c < cfg_.numCores; ++c) {
-                if (c == core)
-                    continue;
+            const LineSharers::Set holders = holders_.of(line);
+            holders.forEachOther(core, [&](CoreId c) {
                 l2_[c].invalidate(line);
                 l1_[c].invalidate(line);
-            }
+                holders.erase(c);
+            });
         }
         if (isWrite)
             l2Line->state.mesi = Mesi::Modified;
@@ -129,8 +115,8 @@ TimingMemSystem::access(CoreId core, Addr addr, bool isWrite, Tick now)
     // directory at the memory controller.
     const Tick resolved =
         directory ? grant + cfg_.directoryLatency : grant;
-    std::vector<CoreId> &holders = holdersScratch_;
-    const bool snoopHit = remoteHolders(core, line, holders);
+    const LineSharers::Set holders = holders_.of(line);
+    const bool snoopHit = holders.anyOther(core);
 
     Tick done;
     if (snoopHit) {
@@ -144,19 +130,18 @@ TimingMemSystem::access(CoreId core, Addr addr, bool isWrite, Tick now)
             // All other copies invalidated; the directory sends one
             // directed invalidation per sharer (serialized at the home
             // slice's port) instead of a broadcast.
-            for (CoreId c : holders) {
+            holders.forEachOther(core, [&](CoreId c) {
                 l2_[c].invalidate(line);
                 l1_[c].invalidate(line);
+                holders.erase(c);
                 if (directory)
                     sliceBus_[homeSlice(line)].acquire(resolved);
-            }
+            });
         } else {
             // Suppliers downgrade to Shared.
-            for (CoreId c : holders) {
-                auto *h = l2_[c].find(line);
-                if (h)
-                    h->state.mesi = Mesi::Shared;
-            }
+            holders.forEachOther(core, [&](CoreId c) {
+                l2_[c].find(line)->state.mesi = Mesi::Shared;
+            });
         }
     } else {
         // Serviced by main memory.
@@ -178,6 +163,7 @@ TimingMemSystem::access(CoreId core, Addr addr, bool isWrite, Tick now)
     fresh.state.mesi = isWrite ? Mesi::Modified
                      : snoopHit ? Mesi::Shared
                                 : Mesi::Exclusive;
+    holders.insert(core);
     std::optional<CacheArray<char>::Line> l1Victim;
     l1.insert(line, l1Victim);
 

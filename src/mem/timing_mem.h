@@ -20,6 +20,7 @@
 
 #include "mem/bus.h"
 #include "mem/cache_array.h"
+#include "mem/line_sharers.h"
 #include "mem/machine_config.h"
 #include "sim/stats.h"
 #include "sim/types.h"
@@ -125,17 +126,37 @@ class TimingMemSystem
 
     const MachineConfig &config() const { return cfg_; }
 
+    /** MESI state of @p addr's line in @p core's L2 (Invalid when not
+     *  resident); for tests. */
+    Mesi
+    l2State(CoreId core, Addr addr) const
+    {
+        const auto *l = l2_[core].find(addr);
+        return l ? l->state.mesi : Mesi::Invalid;
+    }
+
+    /** True when @p core's L1 holds @p addr's line; for tests. */
+    bool
+    inL1(CoreId core, Addr addr) const
+    {
+        return l1_[core].find(addr) != nullptr;
+    }
+
+    /** True when @p core is in @p addr's L2 holder set; for tests. */
+    bool
+    holds(CoreId core, Addr addr) const
+    {
+        return holders_.contains(addr, core);
+    }
+
   private:
     struct L2State
     {
         Mesi mesi = Mesi::Invalid;
     };
 
-    /** True when any other core's L2 holds the line. */
-    bool remoteHolders(CoreId core, Addr line,
-                       std::vector<CoreId> &holders) const;
-
-    /** Evict handling: write back dirty victims, maintain inclusion. */
+    /** Evict handling: write back dirty victims, maintain inclusion
+     *  and the holder set. */
     void handleL2Victim(CoreId core,
                         const CacheArray<L2State>::Line &victim, Tick now);
 
@@ -154,10 +175,11 @@ class TimingMemSystem
     std::vector<BusChannel> sliceBus_;
     std::vector<CacheArray<L2State>> l2_;
     std::vector<CacheArray<char>> l1_;
+    /** Per line, the cores whose L2 holds it (every resident L2 line
+     *  is valid), so a miss or an upgrade finds the remote copies
+     *  without scanning every L2. */
+    LineSharers holders_;
     std::uint64_t serviceCounts_[4] = {0, 0, 0, 0};
-    /** Scratch for remoteHolders: reused across calls so the per-miss
-     *  snoop never allocates (bounded by numCores). */
-    mutable std::vector<CoreId> holdersScratch_;
 };
 
 } // namespace cord

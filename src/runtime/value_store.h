@@ -6,12 +6,12 @@
  * tick; the commit order defined by the event queue is the machine's
  * memory order.
  *
- * Storage is page-granular: words live in dense 512-word pages indexed
- * by a flat page table (sim/flat_map.h), with a one-entry MRU cache in
- * front.  Workload accesses are heavily page-local, so the common load
- * or store is a compare plus an array index, with no per-word hash
- * probe or allocation.  A per-page written bitmap keeps footprintWords()
- * exact (a page allocated by one store does not count its 511 untouched
+ * Storage is page-granular (sim/paged_table.h): words live in blocks
+ * of 64, eight blocks (512 words, 2KB of address space) to a page.  Workload
+ * accesses are heavily page-local, so the common load or store is a
+ * compare plus an array index, with no per-word hash probe or
+ * allocation.  Each block's written mask keeps footprintWords() exact
+ * (a page allocated by one store does not count its 511 untouched
  * words).
  */
 
@@ -20,9 +20,8 @@
 
 #include <cstdint>
 #include <utility>
-#include <vector>
 
-#include "sim/flat_map.h"
+#include "sim/paged_table.h"
 #include "sim/types.h"
 
 namespace cord
@@ -36,23 +35,22 @@ class ValueStore
     load(Addr a) const
     {
         const std::uint64_t w = wordIndex(a);
-        const Page *p = pageOf(w / kPageWords);
-        return p ? p->words[w % kPageWords] : 0;
+        const Block *b = blocks_.find(w / kBlockWords);
+        return b ? b->words[w % kBlockWords] : 0;
     }
 
     void
     store(Addr a, std::uint64_t v)
     {
         const std::uint64_t w = wordIndex(a);
-        Page &p = ensurePage(w / kPageWords);
-        const std::size_t off = w % kPageWords;
-        std::uint64_t &bits = p.written[off >> 6];
-        const std::uint64_t bit = std::uint64_t(1) << (off & 63);
-        if ((bits & bit) == 0) {
-            bits |= bit;
+        Block &b = blocks_[w / kBlockWords];
+        const std::size_t off = w % kBlockWords;
+        const std::uint64_t bit = std::uint64_t(1) << off;
+        if ((b.written & bit) == 0) {
+            b.written |= bit;
             ++wordCount_;
         }
-        p.words[off] = v;
+        b.words[off] = v;
     }
 
     /** Atomic compare-and-swap at commit time.
@@ -74,11 +72,8 @@ class ValueStore
     void
     clear()
     {
-        pages_.clear();
-        pageIndex_.clear();
+        blocks_.clear();
         wordCount_ = 0;
-        mruPid_ = 0;
-        mruIdx_ = 0;
     }
 
     /**
@@ -91,26 +86,31 @@ class ValueStore
     void
     forEachWord(Fn &&fn) const
     {
-        pageIndex_.forEach([&](Addr pid, const std::uint32_t &idx) {
-            const Page &p = pages_[idx];
-            for (std::size_t off = 0; off < kPageWords; ++off) {
-                if (p.written[off >> 6] &
-                    (std::uint64_t(1) << (off & 63)))
-                    fn(static_cast<Addr>((pid * kPageWords + off) *
-                                         kWordBytes),
-                       p.words[off]);
+        blocks_.forEachPage([&](std::uint64_t pid, const Block *page) {
+            for (std::size_t i = 0; i < Table::kEntries; ++i) {
+                const Block &b = page[i];
+                const std::uint64_t first =
+                    (pid * Table::kEntries + i) * kBlockWords;
+                for (std::size_t off = 0; off < kBlockWords; ++off)
+                    if (b.written & (std::uint64_t(1) << off))
+                        fn(static_cast<Addr>((first + off) * kWordBytes),
+                           b.words[off]);
             }
         });
     }
 
   private:
-    static constexpr std::size_t kPageWords = 512; //!< 2KB of words
+    static constexpr std::size_t kBlockWords = 64;
 
-    struct Page
+    /** 64 consecutive words and which of them were ever stored. */
+    struct Block
     {
-        std::uint64_t words[kPageWords] = {};
-        std::uint64_t written[kPageWords / 64] = {};
+        std::uint64_t words[kBlockWords] = {};
+        std::uint64_t written = 0;
     };
+
+    /** 8 blocks to a page: 4KB of values. */
+    using Table = PagedTable<Block, 8>;
 
     static std::uint64_t
     wordIndex(Addr a)
@@ -118,40 +118,8 @@ class ValueStore
         return wordAddr(a) / kWordBytes;
     }
 
-    /** Resident page @p pid, or nullptr.  Refreshes the MRU entry
-     *  (dense *index*, not a pointer: pages_ may reallocate later). */
-    const Page *
-    pageOf(std::uint64_t pid) const
-    {
-        if (mruPid_ == pid + 1)
-            return &pages_[mruIdx_];
-        const std::uint32_t *idx = pageIndex_.find(pid);
-        if (!idx)
-            return nullptr;
-        mruPid_ = pid + 1;
-        mruIdx_ = *idx;
-        return &pages_[*idx];
-    }
-
-    Page &
-    ensurePage(std::uint64_t pid)
-    {
-        if (const Page *p = pageOf(pid))
-            return const_cast<Page &>(*p);
-        const std::uint32_t idx =
-            static_cast<std::uint32_t>(pages_.size());
-        pages_.emplace_back();
-        pageIndex_[pid] = idx;
-        mruPid_ = pid + 1;
-        mruIdx_ = idx;
-        return pages_.back();
-    }
-
-    std::vector<Page> pages_;
-    FlatAddrMap<std::uint32_t> pageIndex_;
+    Table blocks_;
     std::size_t wordCount_ = 0;
-    mutable std::uint64_t mruPid_ = 0; //!< pid + 1; 0 = invalid
-    mutable std::uint32_t mruIdx_ = 0;
 };
 
 } // namespace cord

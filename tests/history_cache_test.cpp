@@ -169,18 +169,20 @@ TEST_P(HistoryDirectoryIndex, SharersMatchResidencyScan)
     // every call, and remote sharers must be visited in ascending core
     // order.  The scan of every cache is the reference.  Few lines,
     // many cores and (finite case) two ways per set keep lines shared
-    // and victims frequent; 72 cores spill past one 64-core mask.
+    // and victims frequent; 64 cores fill one mask and 72 spill past
+    // it; half the lines sit 1GB away, on another page of the index.
     const DirectoryCase dc = GetParam();
     HistoryDirectory<State> dir(dc.cores, dc.infinite,
                                 CacheGeometry{256, 64, 2}); // 2 sets
     Rng rng(dc.cores * 2 + (dc.infinite ? 1 : 0));
     constexpr unsigned kLines = 8;
     auto lineOf = [](std::uint64_t l) {
-        return Addr{0x4000} + static_cast<Addr>(l) * kLineBytes;
+        return Addr{0x4000} + static_cast<Addr>(l % 4) * kLineBytes +
+               static_cast<Addr>(l / 4) * (Addr{1} << 30);
     };
     auto remoteOf = [&](CoreId self, Addr a) {
         std::vector<CoreId> visited;
-        dir.forEachRemote(self, a,
+        dir.forEachRemote(self, a, dir.sharers(a),
                           [&](CoreId c, State &) { visited.push_back(c); });
         return visited;
     };
@@ -207,9 +209,10 @@ TEST_P(HistoryDirectoryIndex, SharersMatchResidencyScan)
         default: {
             const std::vector<CoreId> before = scanOf(core, a);
             std::vector<CoreId> dropped;
-            dir.invalidateRemote(core, a, [&](CoreId c, State &) {
-                dropped.push_back(c);
-            });
+            dir.invalidateRemote(core, a, dir.sharers(a),
+                                 [&](CoreId c, State &) {
+                                     dropped.push_back(c);
+                                 });
             EXPECT_EQ(dropped, before) << "step " << step;
             EXPECT_TRUE(scanOf(core, a).empty()) << "step " << step;
             break;
@@ -219,6 +222,14 @@ TEST_P(HistoryDirectoryIndex, SharersMatchResidencyScan)
         // bit is seen from the other.
         const auto other = static_cast<CoreId>((core + 1) % dc.cores);
         for (unsigned l = 0; l < kLines; ++l) {
+            // Every core's bit of the line's masks, self included.
+            const auto sharers = dir.sharers(lineOf(l));
+            for (unsigned c = 0; c < dc.cores; ++c) {
+                const auto id = static_cast<CoreId>(c);
+                ASSERT_EQ(sharers.contains(id),
+                          dir.find(id, lineOf(l)) != nullptr)
+                    << "step " << step << ", line " << l << ", core " << c;
+            }
             for (CoreId self : {core, other}) {
                 const std::vector<CoreId> visited = remoteOf(self, lineOf(l));
                 ASSERT_EQ(visited, scanOf(self, lineOf(l)))
@@ -239,6 +250,7 @@ INSTANTIATE_TEST_SUITE_P(
     Cores, HistoryDirectoryIndex,
     ::testing::Values(DirectoryCase{4, false}, DirectoryCase{4, true},
                       DirectoryCase{16, false}, DirectoryCase{16, true},
+                      DirectoryCase{64, false}, DirectoryCase{64, true},
                       DirectoryCase{72, false}, DirectoryCase{72, true}),
     [](const ::testing::TestParamInfo<DirectoryCase> &p) {
         return std::to_string(p.param.cores) +

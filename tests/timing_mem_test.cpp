@@ -2,12 +2,18 @@
  * @file
  * Unit tests for the MESI timing memory system (mem/timing_mem.h):
  * hit/miss classification, cache-to-cache supply, write upgrades,
- * remote invalidation, inclusion, and CORD traffic charging.
+ * remote invalidation, inclusion, the L2 holder sets, and CORD traffic
+ * charging.
  */
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+#include <string>
+#include <vector>
+
 #include "mem/timing_mem.h"
+#include "sim/rng.h"
 
 namespace cord
 {
@@ -160,6 +166,97 @@ TEST(TimingMem, AddrBusContentionDelaysMisses)
     EXPECT_GT(r.completion, cfg().memoryLatency + 500u)
         << "miss must queue behind the check burst";
 }
+
+/** One machine shape for the holder-set invariant. */
+struct HolderCase
+{
+    unsigned cores;
+    CoherenceKind coherence;
+};
+
+void
+PrintTo(const HolderCase &c, std::ostream *os)
+{
+    *os << c.cores
+        << (c.coherence == CoherenceKind::Directory ? "_dir" : "_snoop");
+}
+
+class TimingMemHolders : public ::testing::TestWithParam<HolderCase>
+{
+};
+
+TEST_P(TimingMemHolders, HolderSetsMatchL2ScanAndL1IsInclusive)
+{
+    // Random reads and writes by every core over 16 lines, with 8-line
+    // L2s and 4-line L1s, give upgrades, cache-to-cache transfers and
+    // evictions.  After every access each line's holder set must equal
+    // a scan of every L2 for a valid copy, and every L1 line must be
+    // in its core's L2.  Half the lines sit 1GB away, on another page
+    // of the holder table; 72 cores spill past one 64-core mask.
+    const HolderCase hc = GetParam();
+    MachineConfig c = cfg();
+    c.numCores = hc.cores;
+    c.coherence = hc.coherence;
+    c.l1 = CacheGeometry{256, kLineBytes, 2};
+    c.l2 = CacheGeometry{512, kLineBytes, 2};
+    TimingMemSystem m(c);
+    Rng rng(hc.cores + static_cast<unsigned>(hc.coherence));
+    constexpr unsigned kLines = 16;
+    auto lineOf = [](unsigned l) {
+        return Addr{0x10000} + Addr{l % 8} * kLineBytes +
+               Addr{l / 8} * (Addr{1} << 30);
+    };
+
+    std::uint64_t upgrades = 0, evictions = 0;
+    Tick now = 0;
+    for (int step = 0; step < 4000; ++step) {
+        const auto core = static_cast<CoreId>(rng.below(hc.cores));
+        const unsigned target = static_cast<unsigned>(rng.below(kLines));
+        const bool isWrite = rng.below(3) == 0;
+        std::vector<bool> heldBefore(kLines);
+        for (unsigned l = 0; l < kLines; ++l)
+            heldBefore[l] = m.l2State(core, lineOf(l)) != Mesi::Invalid;
+
+        const TimingResult r =
+            m.access(core, lineOf(target) + rng.below(16) * 4, isWrite, now);
+        now += 50;
+        if (r.usedAddrBus && (r.source == ServiceSource::L1Hit ||
+                              r.source == ServiceSource::L2Hit))
+            ++upgrades;
+        for (unsigned l = 0; l < kLines; ++l)
+            if (l != target && heldBefore[l] &&
+                m.l2State(core, lineOf(l)) == Mesi::Invalid)
+                ++evictions;
+
+        for (unsigned l = 0; l < kLines; ++l) {
+            for (unsigned k = 0; k < hc.cores; ++k) {
+                const auto id = static_cast<CoreId>(k);
+                const bool valid =
+                    m.l2State(id, lineOf(l)) != Mesi::Invalid;
+                ASSERT_EQ(m.holds(id, lineOf(l)), valid)
+                    << "step " << step << ", line " << l << ", core " << k;
+                ASSERT_TRUE(!m.inL1(id, lineOf(l)) || valid)
+                    << "step " << step << ", line " << l << ", core " << k
+                    << ": L1 line missing from L2";
+            }
+        }
+    }
+    EXPECT_GT(upgrades, 0u);
+    EXPECT_GT(evictions, 0u);
+    EXPECT_GT(m.serviceCount(ServiceSource::CacheToCache), 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Machines, TimingMemHolders,
+    ::testing::Values(HolderCase{4, CoherenceKind::Snooping},
+                      HolderCase{4, CoherenceKind::Directory},
+                      HolderCase{72, CoherenceKind::Snooping},
+                      HolderCase{72, CoherenceKind::Directory}),
+    [](const ::testing::TestParamInfo<HolderCase> &p) {
+        return std::to_string(p.param.cores) +
+               (p.param.coherence == CoherenceKind::Directory ? "_dir"
+                                                              : "_snoop");
+    });
 
 } // namespace
 } // namespace cord
