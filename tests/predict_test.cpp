@@ -52,7 +52,7 @@ struct Recording
 
 Recording
 record(const std::string &workload, std::uint64_t seed, unsigned scale,
-       const InjectionPick *pick = nullptr)
+       const InjectionPick *pick = nullptr, bool knownRaces = false)
 {
     CordConfig cc;
     CordDetector cord(cc);
@@ -62,6 +62,7 @@ record(const std::string &workload, std::uint64_t seed, unsigned scale,
     setup.workload = workload;
     setup.params.seed = seed;
     setup.params.scale = scale;
+    setup.params.includeKnownRaces = knownRaces;
     setup.detectors = {&cord, &trace};
     RemoveOneInstance filter(pick ? *pick : InjectionPick{});
     if (pick) {
@@ -143,6 +144,113 @@ wBeyondHbTrace()
     ev(50, 2, kX, AccessKind::DataWrite, 2);
     t.threadEnds = {{0, 2}, {1, 1}, {2, 2}};
     return t;
+}
+
+/** FNV-1a over 64-bit words. */
+struct Digest
+{
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+
+    void
+    add(std::uint64_t v)
+    {
+        for (int i = 0; i < 8; ++i) {
+            h ^= (v >> (8 * i)) & 0xff;
+            h *= 0x100000001b3ULL;
+        }
+    }
+};
+
+/** Every field a prediction exposes: races, racy words, witnesses and
+ *  the sampling accounting. */
+std::uint64_t
+digestOf(const PredictiveAnalysis &p)
+{
+    Digest d;
+    d.add(p.numThreads());
+    d.add(p.races().size());
+    for (const PredictedRace &r : p.races()) {
+        d.add(r.tick);
+        d.add(r.word);
+        d.add(r.accessor);
+        d.add(static_cast<std::uint64_t>(r.kind));
+        d.add(r.other);
+        d.add(r.otherTick);
+        d.add(r.otherWasWrite);
+    }
+    d.add(p.racyWords().size());
+    for (Addr w : p.racyWords())
+        d.add(w);
+    d.add(p.witnesses().size());
+    for (const RaceWitness &w : p.witnesses()) {
+        d.add(w.word);
+        d.add(w.firstIndex);
+        d.add(w.secondIndex);
+        d.add(w.cutoffs.size());
+        for (std::uint64_t c : w.cutoffs)
+            d.add(c);
+    }
+    d.add(p.accessesAnalyzed());
+    d.add(p.accessesSkipped());
+    return d.h;
+}
+
+TEST(PredictGolden, RacesAndWitnessesAreStable)
+{
+    // Pins the predictor's complete output on a racy injection, the
+    // 72-thread no-mask path, the hand-built W-beyond-HB trace and a
+    // barnes run with its known races (3,420 predicted pairs), each
+    // unsampled and at sample rate 8.
+    struct Input
+    {
+        const char *name;
+        DecodedTrace trace;
+    };
+    std::vector<Input> inputs;
+    inputs.push_back({"cholesky-inject", racyRecording().trace});
+    const Recording many = manyThreadRecording();
+    ASSERT_TRUE(many.completed);
+    inputs.push_back({"barnes-72", many.trace});
+    inputs.push_back({"w-beyond-hb", wBeyondHbTrace()});
+    const Recording barnes = record("barnes", 1, 2, nullptr, true);
+    ASSERT_TRUE(barnes.completed);
+    inputs.push_back({"barnes-known", barnes.trace});
+    ASSERT_FALSE(inputs[0].trace.events.empty());
+
+    struct Expected
+    {
+        const char *name;
+        unsigned sampleRate;
+        std::uint64_t digest;
+    };
+    const Expected expected[] = {
+        {"cholesky-inject", 1, 0xbfe3fc7074ae945cULL},
+        {"cholesky-inject", 8, 0x818c5bfe1591eb89ULL},
+        {"barnes-72", 1, 0x4913376f5bd6d8abULL},
+        {"barnes-72", 8, 0x5b4d27aeec1e51edULL},
+        {"w-beyond-hb", 1, 0xb8681a482d0e80e8ULL},
+        {"w-beyond-hb", 8, 0xaba1b0e35b21bb64ULL},
+        {"barnes-known", 1, 0x1b3d23d249a137c4ULL},
+        {"barnes-known", 8, 0xfa0775eb266fc70fULL},
+    };
+    std::size_t k = 0;
+    for (const Input &in : inputs) {
+        for (unsigned rate : {1u, 8u}) {
+            PredictOptions opt;
+            opt.sampleRate = rate;
+            const PredictiveAnalysis p =
+                PredictiveAnalysis::analyze(in.trace, 0, opt);
+            if (std::string(in.name) == "barnes-known" && rate == 1) {
+                EXPECT_EQ(p.pairs(), 3420u);
+            }
+            const Expected &e = expected[k++];
+            ASSERT_EQ(std::string(e.name), in.name);
+            ASSERT_EQ(e.sampleRate, rate);
+            EXPECT_EQ(digestOf(p), e.digest)
+                << in.name << " at sample rate " << rate << ": 0x"
+                << std::hex << digestOf(p);
+        }
+    }
 }
 
 TEST(PredictSuperset, CoversHbOnEveryWorkload)
