@@ -30,7 +30,12 @@ auditCoverage(const DecodedTrace &trace, const HbAnalysis &hb,
     offlineCfg.numThreads = std::max(1u, hb.numThreads());
     offlineCfg.numCores = coresInTrace(trace);
     CordDetector cord(offlineCfg, "CORD-offline");
-    runDetectorOnTrace(trace, cord);
+    // Each record CORD adds carries the access it is processing.
+    std::vector<RaceRecord> reports;
+    runDetectorOnTrace(trace, cord, [&](const MemEvent &ev) {
+        while (reports.size() < cord.races().pairs())
+            reports.push_back({ev.tick, ev.addr, ev.tid, ev.kind, 0, 0});
+    });
 
     CoverageBreakdown cov;
     cov.idealPairs = hb.pairs();
@@ -64,17 +69,19 @@ auditCoverage(const DecodedTrace &trace, const HbAnalysis &hb,
         report.info("audit.coverage", os.str());
     }
 
-    checkNoFalsePositives(hb, cord.races(), "offline", report);
+    checkNoFalsePositives(hb, reports, "offline", report);
+    report.setMetric("nofp.checked", static_cast<double>(reports.size()));
     return cov;
 }
 
 void
-checkNoFalsePositives(const HbAnalysis &hb, const RaceReport &cordReport,
+checkNoFalsePositives(const HbAnalysis &hb,
+                      const std::vector<RaceRecord> &records,
                       const char *source, LintReport &report)
 {
     report.markChecked("nofp.samples");
     std::size_t spurious = 0;
-    for (const RaceRecord &r : cordReport.samples()) {
+    for (const RaceRecord &r : records) {
         const Addr wa = wordAddr(r.addr);
         if (!hb.racyEndpoint(r.tick, wa, r.accessor)) {
             ++spurious;

@@ -64,8 +64,8 @@ struct CoverageBreakdown
  * Re-run CORD (configured by @p cfg; core/thread counts are derived
  * from the trace) and the happens-before ground truth over @p trace,
  * record coverage metrics in @p report, and return the breakdown.
- * The offline CORD report also passes through the no-false-positive
- * check.  @p hb must be the analysis of the same trace.
+ * Every record of the offline CORD report passes the no-false-positive
+ * check (nofp.checked).  @p hb must be the analysis of the same trace.
  */
 CoverageBreakdown auditCoverage(const DecodedTrace &trace,
                                 const HbAnalysis &hb,
@@ -73,14 +73,23 @@ CoverageBreakdown auditCoverage(const DecodedTrace &trace,
                                 LintReport &report);
 
 /**
- * Verify that every sampled race in @p cordReport is a genuine
+ * Verify that every CORD race record in @p records is a genuine
  * happens-before race of the trace analyzed by @p hb; each spurious
  * report is an error finding (the paper guarantees zero).
  * @param source label naming the report's origin ("online"/"offline")
  */
 void checkNoFalsePositives(const HbAnalysis &hb,
-                           const RaceReport &cordReport,
+                           const std::vector<RaceRecord> &records,
                            const char *source, LintReport &report);
+
+/** The same check over @p cordReport's first 1,024 records only: the
+ *  online (--lint) path's cap until the check runs in the campaign. */
+inline void
+checkNoFalsePositives(const HbAnalysis &hb, const RaceReport &cordReport,
+                      const char *source, LintReport &report)
+{
+    checkNoFalsePositives(hb, cordReport.samples(), source, report);
+}
 
 } // namespace cord
 

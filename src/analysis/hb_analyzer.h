@@ -14,7 +14,8 @@
  * base.  The one production engine, the Ideal detector's FastTrack
  * core (cord/ideal_detector.h), runs online and, through
  * analyzeEpochCompressed (analysis/epoch_analyzer.h), offline; tests
- * pin both uses to this analyzer's result.
+ * pin both to this analyzer's result.  The race predictor drives the
+ * same engine under its weak order W (analysis/predict.h).
  */
 
 #ifndef CORD_ANALYSIS_HB_ANALYZER_H
@@ -99,12 +100,12 @@ class HbAnalysis
     /** Derive the thread count a trace requires. */
     static unsigned threadsInTrace(const DecodedTrace &trace);
 
-  private:
-    HbAnalysis() = default;
-
     /** Shared defensive thread-count resolution (see analyze()). */
     static unsigned resolveThreads(const DecodedTrace &trace,
                                    unsigned declared);
+
+  private:
+    HbAnalysis() = default;
 
     /** The epoch-compressed engine builds the same result type. */
     friend HbAnalysis analyzeEpochCompressed(const DecodedTrace &trace,

@@ -4,9 +4,9 @@
 #include <sstream>
 #include <unordered_map>
 
+#include "analysis/epoch_analyzer.h"
 #include "analysis/log_checker.h"
 #include "sim/flat_map.h"
-#include "sim/logging.h"
 
 namespace cord
 {
@@ -26,15 +26,6 @@ predictSampled(Addr word, unsigned sampleRate)
 
 namespace
 {
-
-/** Per-word, per-thread last data access under the W order: epoch,
- *  commit tick and global trace index (the index feeds witnesses). */
-struct WordHistory
-{
-    std::vector<std::uint32_t> lastWriteEpoch, lastReadEpoch;
-    std::vector<Tick> lastWriteTick, lastReadTick;
-    std::vector<std::uint64_t> lastWriteIndex, lastReadIndex;
-};
 
 /** A racy word the first pass wants a witness for. */
 struct WitnessReq
@@ -147,104 +138,34 @@ PredictiveAnalysis::analyze(const DecodedTrace &trace,
                             const PredictOptions &opt)
 {
     PredictiveAnalysis a;
-    a.numThreads_ = std::max(numThreads,
-                             HbAnalysis::threadsInTrace(trace));
+    a.numThreads_ = HbAnalysis::resolveThreads(trace, numThreads);
     if (a.numThreads_ == 0)
         return a;
-    const unsigned n = a.numThreads_;
-
-    std::vector<VectorClock> vc;
-    vc.reserve(n);
-    for (ThreadId t = 0; t < n; ++t) {
-        vc.emplace_back(n);
-        vc.back().tick(t);
-    }
 
     // W differs from happens-before in exactly one place: a sync word
     // carries only a snapshot of its *last* writer's clock, not the
     // join of every writer so far.
-    FlatAddrMap<VectorClock> lastSyncWriteVc;
-    FlatAddrMap<WordHistory> words;
+    EngineRaces r = engineRaces<SyncOrder::LastWriter>(
+        trace, a.numThreads_, [&](const MemEvent &ev) {
+            const bool kept =
+                predictSampled(wordAddr(ev.addr), opt.sampleRate);
+            ++(kept ? a.accessesAnalyzed_ : a.accessesSkipped_);
+            return kept;
+        });
 
+    // A witness for the first race on each word, in race order.
     std::vector<WitnessReq> reqs;
     std::set<Addr> reqWords;
-
-    for (std::uint64_t i = 0; i < trace.events.size(); ++i) {
-        const MemEvent &ev = trace.events[i];
-        VectorClock &tvc = vc[ev.tid];
-        const Addr wa = wordAddr(ev.addr);
-
-        if (ev.isSync()) {
-            if (!ev.isWrite()) {
-                if (const VectorClock *snap = lastSyncWriteVc.find(wa))
-                    tvc.join(*snap);
-            } else {
-                lastSyncWriteVc[wa] = tvc;
-                tvc.tick(ev.tid);
-            }
-            continue;
-        }
-
-        if (!predictSampled(wa, opt.sampleRate)) {
-            ++a.accessesSkipped_;
-            continue;
-        }
-        ++a.accessesAnalyzed_;
-
-        WordHistory &h = words[wa];
-        if (h.lastWriteEpoch.empty()) {
-            h.lastWriteEpoch.assign(n, 0);
-            h.lastReadEpoch.assign(n, 0);
-            h.lastWriteTick.assign(n, 0);
-            h.lastReadTick.assign(n, 0);
-            h.lastWriteIndex.assign(n, 0);
-            h.lastReadIndex.assign(n, 0);
-        }
-
-        auto request = [&](std::uint64_t earlierIndex) {
-            if (reqs.size() >= opt.maxWitnesses ||
-                reqWords.count(wa)) {
-                return;
-            }
-            reqWords.insert(wa);
-            reqs.push_back(WitnessReq{wa, earlierIndex, i});
-        };
-
-        for (ThreadId u = 0; u < n; ++u) {
-            if (u == ev.tid)
-                continue;
-            const std::uint32_t we = h.lastWriteEpoch[u];
-            if (we != 0 && tvc[u] < we) {
-                a.races_.push_back(
-                    PredictedRace{ev.tick, wa, ev.tid, ev.kind, u,
-                                  h.lastWriteTick[u], true});
-                a.racyWords_.insert(wa);
-                request(h.lastWriteIndex[u]);
-            }
-            if (ev.isWrite()) {
-                const std::uint32_t re = h.lastReadEpoch[u];
-                if (re != 0 && tvc[u] < re) {
-                    a.races_.push_back(
-                        PredictedRace{ev.tick, wa, ev.tid, ev.kind, u,
-                                      h.lastReadTick[u], false});
-                    a.racyWords_.insert(wa);
-                    request(h.lastReadIndex[u]);
-                }
-            }
-        }
-        if (ev.isWrite()) {
-            h.lastWriteEpoch[ev.tid] = tvc[ev.tid];
-            h.lastWriteTick[ev.tid] = ev.tick;
-            h.lastWriteIndex[ev.tid] = i;
-        } else {
-            h.lastReadEpoch[ev.tid] = tvc[ev.tid];
-            h.lastReadTick[ev.tid] = ev.tick;
-            h.lastReadIndex[ev.tid] = i;
-        }
+    for (std::size_t k = 0;
+         k < r.races.size() && reqs.size() < opt.maxWitnesses; ++k) {
+        if (reqWords.insert(r.races[k].word).second)
+            reqs.push_back(
+                WitnessReq{r.races[k].word, r.earlier[k], r.later[k]});
     }
-
+    a.races_ = std::move(r.races);
+    a.racyWords_ = std::move(r.racyWords);
     if (!reqs.empty())
-        a.witnesses_ = buildWitnesses(trace, n, reqs);
+        a.witnesses_ = buildWitnesses(trace, a.numThreads_, reqs);
     return a;
 }
 

@@ -20,9 +20,10 @@
  * snapshot that is itself dominated by the accumulated sync clock, and
  * own components advance identically), so every HB race is W-unordered
  * too: predicted races are a sound superset of the detected ones on
- * the same trace, by construction.  The analysis stays linear: one
- * vector-clock pass, same per-word last-access machinery as
- * HbAnalysis.
+ * the same trace, by construction.  The analysis stays linear: it is
+ * the one race engine (analysis/epoch_analyzer.h) under the sync rule
+ * SyncOrder::LastWriter, whose per-word epochs keep a word one thread
+ * touches at O(1) per access.
  *
  * Every predicted race on the first few distinct words carries a
  * feasibility witness -- a per-thread prefix of the trace (cutoffs in

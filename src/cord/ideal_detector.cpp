@@ -31,6 +31,7 @@ IdealDetector::reportRace(const MemEvent &ev)
     dataRaces_.inc();
 }
 
+template <SyncOrder Order>
 void
 IdealDetector::synchronize(const MemEvent &ev)
 {
@@ -47,10 +48,18 @@ IdealDetector::synchronize(const MemEvent &ev)
     } else {
         // Release: publish current knowledge, then advance so later
         // private accesses are not ordered before acquirers.
-        svc.join(tvc);
+        if constexpr (Order == SyncOrder::HappensBefore)
+            svc.join(tvc);
+        else
+            svc = tvc;
         tvc.tick(ev.tid);
     }
 }
+
+template void
+IdealDetector::synchronize<SyncOrder::HappensBefore>(const MemEvent &);
+template void
+IdealDetector::synchronize<SyncOrder::LastWriter>(const MemEvent &);
 
 void
 IdealDetector::promote(WordState &w, ThreadId owner)

@@ -14,9 +14,10 @@
  * is found.  Residency is unlimited, exactly like the paper's Ideal
  * runs (which exceeded 2 GB on some inputs).
  *
- * This is the code base's one happens-before engine: observe() is also
- * what the offline epoch analyzer (analysis/epoch_analyzer.h) drives
- * over a recorded trace.  Per-word state adapts to sharing:
+ * This is the code base's one race engine: observe() also drives the
+ * offline epoch analyzer and, under the sync rule SyncOrder::LastWriter,
+ * the race predictor (analysis/epoch_analyzer.h).  Per-word state
+ * adapts to sharing:
  *
  *  - a word only one thread has touched keeps that thread's last read
  *    and last write Epoch inline and is checked in O(1) -- the
@@ -32,7 +33,7 @@
  * word's entry too.
  *
  * analysis/hb_analyzer.h's full-vector HbAnalysis is the reference
- * both uses are tested against.
+ * the happens-before uses are tested against.
  */
 
 #ifndef CORD_CORD_IDEAL_DETECTOR_H
@@ -51,6 +52,14 @@
 namespace cord
 {
 
+/** How a sync release publishes into the variable's clock; an acquire
+ *  joins that clock under both rules. */
+enum class SyncOrder
+{
+    HappensBefore, //!< join: an acquire learns every earlier release
+    LastWriter,    //!< overwrite: only the last one (the predictor's W)
+};
+
 /** Complete happens-before race detector (ground truth). */
 class IdealDetector : public Detector
 {
@@ -61,14 +70,16 @@ class IdealDetector : public Detector
     void onAccess(const MemEvent &ev) override;
 
     /**
-     * Apply one committed access to the happens-before state.  A sync
-     * acquire joins the variable's clock; a release joins, then ticks.
-     * A data access calls @p onRace(u, otherWasWrite) once per last
-     * access of another thread u that conflicts with @p ev and does
-     * not happen-before it -- in ascending u, the write check before
-     * the read check -- and then records @p ev's epoch.
+     * Apply one committed access to the order's state.  A sync acquire
+     * joins the variable's clock; a release publishes into it by
+     * @p Order's rule, then ticks.  A data access calls
+     * @p onRace(u, otherWasWrite) once per last access of another
+     * thread u that conflicts with @p ev and is not ordered before it
+     * -- in ascending u, the write check before the read check -- and
+     * then records @p ev's epoch.
      */
-    template <typename OnRace>
+    template <SyncOrder Order = SyncOrder::HappensBefore,
+              typename OnRace>
     void observe(const MemEvent &ev, OnRace &&onRace);
 
     /** Core-agnostic (histories are global), but thread-sized. */
@@ -120,7 +131,8 @@ class IdealDetector : public Detector
     };
     static_assert(sizeof(WordState) == 24, "a word's state is 24 bytes");
 
-    /** Acquire (join) or release (join, then tick) on a sync word. */
+    /** Acquire (join) or release (publish, then tick) on a sync word. */
+    template <SyncOrder Order>
     void synchronize(const MemEvent &ev);
 
     /** Record one racing pair of @p ev.  Out of line: races are rare,
@@ -146,15 +158,15 @@ class IdealDetector : public Detector
     std::vector<std::uint32_t> epochs_;
 };
 
-template <typename OnRace>
+template <SyncOrder Order, typename OnRace>
 void
 IdealDetector::observe(const MemEvent &ev, OnRace &&onRace)
 {
     cord_assert(ev.tid < numThreads_, "unknown thread ", ev.tid);
     if (ev.isSync()) {
-        // Synchronization maintains happens-before; it is never itself
+        // Synchronization maintains the order; it is never itself
         // reported as a data race.
-        synchronize(ev);
+        synchronize<Order>(ev);
         return;
     }
 

@@ -162,10 +162,14 @@ loadTrace(const std::string &path)
 }
 
 void
-runDetectorOnTrace(const DecodedTrace &trace, Detector &detector)
+runDetectorOnTrace(const DecodedTrace &trace, Detector &detector,
+                   const std::function<void(const MemEvent &)> &afterAccess)
 {
-    for (const MemEvent &ev : trace.events)
+    for (const MemEvent &ev : trace.events) {
         detector.onAccess(ev);
+        if (afterAccess)
+            afterAccess(ev);
+    }
     for (const auto &[tid, instrs] : trace.threadEnds)
         detector.onThreadEnd(tid, instrs);
     detector.finish();

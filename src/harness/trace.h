@@ -11,6 +11,7 @@
 #define CORD_HARNESS_TRACE_H
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -68,8 +69,11 @@ DecodedTrace decodeTrace(const std::vector<std::uint8_t> &bytes);
 void saveTrace(const TraceRecorder &trace, const std::string &path);
 DecodedTrace loadTrace(const std::string &path);
 
-/** Drive a detector from a decoded trace (offline detection). */
-void runDetectorOnTrace(const DecodedTrace &trace, Detector &detector);
+/** Drive a detector from a decoded trace (offline detection);
+ *  @p afterAccess, if set, sees each event right after the detector. */
+void runDetectorOnTrace(
+    const DecodedTrace &trace, Detector &detector,
+    const std::function<void(const MemEvent &)> &afterAccess = {});
 
 } // namespace cord
 

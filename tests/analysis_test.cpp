@@ -3,8 +3,8 @@
  * Tests for the offline analysis subsystem (src/analysis): lint report
  * plumbing, order-log well-formedness checks, the happens-before
  * ground-truth analyzer (and the online Ideal detector checked against
- * it on every workload), the false-negative coverage auditor and the
- * no-false-positive checker.
+ * it on every workload), the engine's two sync rules, the
+ * false-negative coverage auditor and the no-false-positive checker.
  */
 
 #include <gtest/gtest.h>
@@ -291,6 +291,78 @@ TEST(Auditor, FlagsFabricatedRaceAsFalsePositive)
     EXPECT_EQ(report.errors(), 1u) << report.renderText();
     EXPECT_NE(report.renderText().find("FALSE POSITIVE"),
               std::string::npos);
+}
+
+TEST(Auditor, OfflineCheckCoversEveryReport)
+{
+    // barnes with its known races reports more pairs than a RaceReport
+    // keeps samples of; the offline check must still see every one.
+    CordConfig cfg;
+    CordDetector cord(cfg);
+    TraceRecorder trace;
+    RunSetup setup;
+    setup.workload = "barnes";
+    setup.params.seed = 1;
+    setup.params.scale = 4;
+    setup.params.includeKnownRaces = true;
+    setup.detectors = {&cord, &trace};
+    ASSERT_TRUE(runWorkload(setup).completed);
+    ASSERT_GT(cord.races().pairs(), cord.races().samples().size());
+
+    DecodedTrace t;
+    t.events = trace.events();
+    t.threadEnds = trace.threadEnds();
+    LintReport report;
+    auditCoverage(t, HbAnalysis::analyze(t), cfg, report);
+    EXPECT_EQ(report.metrics().at("audit.cordPairs"),
+              static_cast<double>(cord.races().pairs()));
+    EXPECT_EQ(report.metrics().at("nofp.checked"),
+              report.metrics().at("audit.cordPairs"));
+    EXPECT_EQ(report.errors(), 0u) << report.renderText();
+}
+
+TEST(SyncOrderRule, LastWriterLearnsOnlyTheLastRelease)
+{
+    // t0 writes X and releases L, t1 releases L, t2 acquires L and
+    // writes X.  Happens-before joins both releases into L's clock;
+    // the W order keeps only t1's, so only W sees t0's write race.
+    constexpr Addr kX = 0x1000, kL = 0x2000;
+    auto ev = [](Tick tick, ThreadId tid, Addr addr, AccessKind kind) {
+        MemEvent e;
+        e.tick = tick;
+        e.tid = tid;
+        e.addr = addr;
+        e.kind = kind;
+        return e;
+    };
+    const MemEvent events[] = {
+        ev(10, 0, kX, AccessKind::DataWrite),
+        ev(20, 0, kL, AccessKind::SyncWrite),
+        ev(30, 1, kL, AccessKind::SyncWrite),
+        ev(40, 2, kL, AccessKind::SyncRead),
+        ev(50, 2, kX, AccessKind::DataWrite),
+    };
+
+    IdealDetector hb(3), w(3);
+    std::vector<std::pair<ThreadId, bool>> hbRaces, wRaces;
+    for (const MemEvent &e : events) {
+        hb.observe(e, [&](ThreadId u, bool wr) {
+            hbRaces.emplace_back(u, wr);
+        });
+        w.observe<SyncOrder::LastWriter>(e, [&](ThreadId u, bool wr) {
+            wRaces.emplace_back(u, wr);
+        });
+    }
+
+    // Each releaser's component as of its release (clocks start at 1).
+    EXPECT_EQ(hb.threadClock(2)[0], 1u);
+    EXPECT_EQ(hb.threadClock(2)[1], 1u);
+    EXPECT_EQ(w.threadClock(2)[0], 0u);
+    EXPECT_EQ(w.threadClock(2)[1], 1u);
+
+    EXPECT_TRUE(hbRaces.empty());
+    ASSERT_EQ(wRaces.size(), 1u);
+    EXPECT_EQ(wRaces[0], std::make_pair(ThreadId{0}, true));
 }
 
 TEST(LogChecker, MonotonicityViolationIsInfeasible)
