@@ -28,10 +28,12 @@
 #include "cord/cord_detector.h"
 #include "cord/ideal_detector.h"
 #include "cord/log_codec.h"
+#include "cord/replay.h"
 #include "harness/experiments.h"
 #include "harness/runner.h"
 #include "obs/manifest.h"
 #include "sched/factory.h"
+#include "sched/perturb.h"
 #include "sched/sched_log.h"
 
 namespace cord
@@ -517,6 +519,129 @@ TEST_P(ManyCoreGoldenTable, RunDigest)
 INSTANTIATE_TEST_SUITE_P(
     Table, ManyCoreGoldenTable, ::testing::ValuesIn(kGoldenManyCoreTable),
     [](const ::testing::TestParamInfo<ManyCoreGoldenRow> &p) {
+        return std::string(p.param.name);
+    });
+
+/**
+ * Event-accounting digest table: one run per event source of the
+ * kernel.  Each digest covers the run's ticks, its executed kernel
+ * events (RunOutcome::events, i.e. `sim.eventsExecuted`), its
+ * committed accesses, its interleaving signature and every thread's
+ * read checksum, so a change to same-tick event order or to how an
+ * event (or an in-place claimed turn) is counted shows here even when
+ * no manifest carries the count.  Rows:
+ * - fft_nodet: core issue steps, memory and compute completions;
+ * - kvstore_cord: a timing-coupled CORD on the server tier at 200% load;
+ * - fft_perturb: a PerturbPolicy (policy picks and memory delays);
+ * - fft_replay: an order-log replay through ReplayGate (gate retries);
+ * - fft_migrate500: thread migration every 500 instructions.
+ * Same re-record rule as the goldens above.
+ */
+enum class EventRun
+{
+    NoDetector,
+    TimingCord,
+    Perturb,
+    Replay,
+    Migrate,
+};
+
+struct EventGoldenRow
+{
+    const char *name;
+    EventRun run;
+    std::uint64_t digest;
+};
+
+constexpr EventGoldenRow kGoldenEventTable[] = {
+    {"fft_nodet", EventRun::NoDetector, 0xc76ab7736c73e331ULL},
+    {"kvstore_cord", EventRun::TimingCord, 0xe39e16b44db4c5b7ULL},
+    {"fft_perturb", EventRun::Perturb, 0x8918fb09ad98cd64ULL},
+    {"fft_replay", EventRun::Replay, 0x816b54e2c3aa4c2fULL},
+    {"fft_migrate500", EventRun::Migrate, 0x9fe49650399f8dcaULL},
+};
+
+void
+PrintTo(const EventGoldenRow &row, std::ostream *os)
+{
+    *os << row.name;
+}
+
+class EventGoldenTable : public ::testing::TestWithParam<EventGoldenRow>
+{
+};
+
+/** FNV-1a over the run's event accounting and observed values. */
+std::uint64_t
+eventDigest(const RunOutcome &out)
+{
+    std::vector<std::uint64_t> words = {out.ticks, out.events,
+                                        out.accesses,
+                                        out.interleavingSignature};
+    words.insert(words.end(), out.readChecksums.begin(),
+                 out.readChecksums.end());
+    return fnv1a(words.data(), words.size() * sizeof(words[0]));
+}
+
+TEST_P(EventGoldenTable, RunDigest)
+{
+    const EventGoldenRow &row = GetParam();
+    RunSetup setup;
+    setup.workload = "fft";
+    setup.params.numThreads = 4;
+    setup.params.scale = 1;
+    setup.params.seed = 11;
+
+    RunOutcome out;
+    switch (row.run) {
+      case EventRun::NoDetector:
+        out = runWorkload(setup);
+        break;
+      case EventRun::TimingCord: {
+        setup.workload = "kvstore";
+        setup.params.scale = 32;
+        setup.params.loadPercent = 200;
+        CordDetector cord(CordConfig::forMachine(setup.machine, 4));
+        setup.detectors = {&cord};
+        setup.timingCord = &cord;
+        out = runWorkload(setup);
+        break;
+      }
+      case EventRun::Perturb: {
+        PerturbPolicy policy(PerturbConfig{}, 77);
+        setup.sched = &policy;
+        out = runWorkload(setup);
+        break;
+      }
+      case EventRun::Replay: {
+        CordDetector recorder(CordConfig::forMachine(setup.machine, 4));
+        RunSetup rec = setup;
+        rec.detectors = {&recorder};
+        const RunOutcome recOut = runWorkload(rec);
+        ASSERT_TRUE(recOut.completed);
+        ReplayGate gate(recorder.orderLog(), 4);
+        setup.gate = &gate;
+        out = runWorkload(setup);
+        EXPECT_TRUE(gate.drained());
+        EXPECT_EQ(out.readChecksums, recOut.readChecksums);
+        break;
+      }
+      case EventRun::Migrate:
+        setup.machine.migrationPeriodInstrs = 500;
+        out = runWorkload(setup);
+        break;
+    }
+    ASSERT_TRUE(out.completed);
+    report((std::string("kGoldenEventTable[") + row.name + "]").c_str(),
+           eventDigest(out));
+    EXPECT_EQ(eventDigest(out), row.digest)
+        << row.name << ": event accounting changed (" << out.events
+        << " events, " << out.ticks << " ticks)";
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Table, EventGoldenTable, ::testing::ValuesIn(kGoldenEventTable),
+    [](const ::testing::TestParamInfo<EventGoldenRow> &p) {
         return std::string(p.param.name);
     });
 
