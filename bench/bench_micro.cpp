@@ -127,12 +127,16 @@ BM_EventQueueScheduleStep(benchmark::State &state)
 {
     EventQueue q;
     Rng rng(17);
+    std::uint32_t sink = 0;
     for (auto _ : state) {
-        for (int i = 0; i < 16; ++i)
-            q.scheduleIn(rng.below(1000), [] {});
-        while (q.step()) {
-        }
+        for (std::uint32_t i = 0; i < 16; ++i)
+            q.scheduleIn(rng.below(1000), {EventKind::MemOpDone, i},
+                         EventQueue::kPriResponse);
+        while (!q.empty())
+            sink += q.pop().index;
     }
+    benchmark::DoNotOptimize(sink);
+    state.SetItemsProcessed(state.iterations() * 16);
 }
 BENCHMARK(BM_EventQueueScheduleStep);
 

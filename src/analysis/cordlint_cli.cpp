@@ -1,6 +1,7 @@
 #include "analysis/cordlint_cli.h"
 
 #include "sim/parse_num.h"
+#include "sim/types.h"
 
 namespace cord
 {
@@ -162,7 +163,7 @@ parseOrThrow(const std::vector<std::string> &args)
             cli.tracePath = next();
         } else if (a == "--threads") {
             haveThreads = true;
-            cli.threads = static_cast<unsigned>(num(0, 1024));
+            cli.threads = static_cast<unsigned>(num(0, kMaxThreads));
         } else if (a == "--d") {
             haveD = true;
             cli.d = static_cast<std::uint32_t>(num(0, 1u << 30));
@@ -186,7 +187,7 @@ parseOrThrow(const std::vector<std::string> &args)
             cli.scale = static_cast<unsigned>(num(1, 1u << 20));
         } else if (a == "--cores") {
             xvalFlag();
-            cli.cores = static_cast<unsigned>(num(1, 1024));
+            cli.cores = static_cast<unsigned>(num(1, kMaxCores));
         } else if (a == "--load") {
             xvalFlag();
             cli.load = static_cast<unsigned>(num(1, 100000));

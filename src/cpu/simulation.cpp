@@ -10,7 +10,9 @@ namespace cord
 {
 
 Simulation::Simulation(const MachineConfig &cfg, unsigned numThreads)
-    : cfg_(cfg), mem_(cfg)
+    : cfg_(cfg), mem_(cfg),
+      threads_(std::make_unique<Thread[]>(numThreads)),
+      numThreads_(numThreads)
 {
     cord_assert(numThreads > 0, "need at least one thread");
     if (cfg_.issueWidth == 0 || cfg_.computeScale == 0)
@@ -18,10 +20,8 @@ Simulation::Simulation(const MachineConfig &cfg, unsigned numThreads)
                    ") and computeScale (", cfg_.computeScale,
                    ") must be at least 1");
     cores_.resize(cfg_.numCores);
-    threads_.reserve(numThreads);
     for (unsigned i = 0; i < numThreads; ++i) {
-        threads_.push_back(std::make_unique<Thread>());
-        Thread &t = *threads_.back();
+        Thread &t = threads_[i];
         t.tid = static_cast<ThreadId>(i);
         t.core = static_cast<CoreId>(i % cfg_.numCores);
         t.nextMigration = cfg_.migrationPeriodInstrs;
@@ -50,8 +50,8 @@ Simulation::~Simulation() = default;
 void
 Simulation::spawn(ThreadId tid, Task<void> body)
 {
-    cord_assert(tid < threads_.size(), "spawn: unknown thread ", tid);
-    Thread &t = *threads_[tid];
+    cord_assert(tid < numThreads_, "spawn: unknown thread ", tid);
+    Thread &t = threads_[tid];
     cord_assert(!t.spawned, "thread ", tid, " spawned twice");
     auto h = body.releaseHandle();
     t.drv.bind(h, &h.promise());
@@ -68,15 +68,15 @@ Simulation::addDetector(Detector *d)
 std::uint64_t
 Simulation::instrCount(ThreadId tid) const
 {
-    cord_assert(tid < threads_.size(), "unknown thread ", tid);
-    return threads_[tid]->instrs;
+    cord_assert(tid < numThreads_, "unknown thread ", tid);
+    return threads_[tid].instrs;
 }
 
 std::uint64_t
 Simulation::readChecksum(ThreadId tid) const
 {
-    cord_assert(tid < threads_.size(), "unknown thread ", tid);
-    return threads_[tid]->readChecksum;
+    cord_assert(tid < numThreads_, "unknown thread ", tid);
+    return threads_[tid].readChecksum;
 }
 
 void
@@ -98,7 +98,7 @@ Simulation::scheduleCore(CoreId c)
     if (core.eventScheduled)
         return;
     core.eventScheduled = true;
-    events_.schedule(events_.now(), [this, c] { coreStep(c); },
+    events_.schedule(events_.now(), {EventKind::CoreStep, c},
                      EventQueue::kPriCore);
 }
 
@@ -129,7 +129,7 @@ Simulation::coreStep(CoreId c)
     Core &core = cores_[c];
     core.eventScheduled = false;
     for (std::size_t probe = 0, n = core.threads.size(); probe < n;) {
-        Thread &t = *threads_[core.threads[core.rr]];
+        Thread &t = threads_[core.threads[core.rr]];
         // Compare-and-wrap instead of % n: this runs once per core
         // wake-up and the hardware divide was visible in profiles.
         core.rr = (core.rr + 1 < n) ? core.rr + 1 : 0;
@@ -176,7 +176,7 @@ Simulation::coreStepPolicy(CoreId c)
         candTids_.clear();
         for (std::size_t probe = 0; probe < n; ++probe) {
             const std::size_t pos = (core.rr + probe) % n;
-            const Thread &t = *threads_[core.threads[pos]];
+            const Thread &t = threads_[core.threads[pos]];
             if (t.finished || t.waiting || t.blocked || !t.spawned)
                 continue;
             candPos_.push_back(pos);
@@ -198,7 +198,7 @@ Simulation::coreStepPolicy(CoreId c)
                          choice);
         }
         const std::size_t pos = candPos_[choice];
-        Thread &t = *threads_[core.threads[pos]];
+        Thread &t = threads_[core.threads[pos]];
         // Advance the cursor past the chosen slot first, exactly like
         // the default path, so a migration's cursor reset inside
         // runThread still wins.
@@ -231,10 +231,8 @@ Simulation::runThread(Thread &t)
             if (chunk == 0) {
                 // Gate-blocked: retry after a short delay.
                 t.blocked = true;
-                events_.scheduleIn(kGateRetryTicks, [this, &t] {
-                    t.blocked = false;
-                    scheduleCore(t.core);
-                });
+                events_.scheduleIn(kGateRetryTicks,
+                                   {EventKind::GateRetry, t.tid});
                 return true;
             }
             t.instrs += chunk;
@@ -244,12 +242,8 @@ Simulation::runThread(Thread &t)
             const Tick cost = std::max<Tick>(
                 1, (chunk + cfg_.issueWidth - 1) / cfg_.issueWidth);
             t.waiting = true;
-            events_.scheduleIn(cost, [this, &t] {
-                t.waiting = false;
-                if (t.computeRemaining == 0)
-                    t.drv.complete(OpResult{0, false, events_.now()});
-                wakeCore(t.core);
-            }, EventQueue::kPriResponse);
+            events_.scheduleIn(cost, {EventKind::ComputeDone, t.tid},
+                               EventQueue::kPriResponse);
             return true;
         }
 
@@ -284,10 +278,8 @@ Simulation::runThread(Thread &t)
           case OpType::Rmw:
             if (gate_ && gate_->allowance(t.tid, 1) == 0) {
                 t.blocked = true;
-                events_.scheduleIn(kGateRetryTicks, [this, &t] {
-                    t.blocked = false;
-                    scheduleCore(t.core);
-                });
+                events_.scheduleIn(kGateRetryTicks,
+                                   {EventKind::GateRetry, t.tid});
                 return true;
             }
             issueMemOp(t);
@@ -299,7 +291,7 @@ Simulation::runThread(Thread &t)
 void
 Simulation::issueMemOp(Thread &t)
 {
-    const OpRequest op = t.drv.pending();
+    const OpRequest &op = t.drv.pending();
     t.instrs += 1;
     if (gate_)
         gate_->onRetired(t.tid, 1);
@@ -334,11 +326,39 @@ Simulation::issueMemOp(Thread &t)
     }
 
     t.waiting = true;
-    events_.schedule(completion, [this, &t, op] {
+    events_.schedule(completion, {EventKind::MemOpDone, t.tid},
+                     EventQueue::kPriResponse);
+}
+
+void
+Simulation::dispatch(EventTarget ev)
+{
+    switch (ev.kind) {
+      case EventKind::CoreStep:
+        coreStep(static_cast<CoreId>(ev.index));
+        break;
+      case EventKind::MemOpDone: {
+        Thread &t = threads_[ev.index];
         t.waiting = false;
-        commitMemOp(t, op);
+        commitMemOp(t);
         wakeCore(t.core);
-    }, EventQueue::kPriResponse);
+        break;
+      }
+      case EventKind::ComputeDone: {
+        Thread &t = threads_[ev.index];
+        t.waiting = false;
+        if (t.computeRemaining == 0)
+            t.drv.complete(OpResult{0, false, events_.now()});
+        wakeCore(t.core);
+        break;
+      }
+      case EventKind::GateRetry: {
+        Thread &t = threads_[ev.index];
+        t.blocked = false;
+        scheduleCore(t.core);
+        break;
+      }
+    }
 }
 
 void
@@ -385,8 +405,9 @@ Simulation::flushDetectors()
 }
 
 void
-Simulation::commitMemOp(Thread &t, const OpRequest &op)
+Simulation::commitMemOp(Thread &t)
 {
+    const OpRequest &op = t.drv.pending();
     OpResult res;
     switch (op.type) {
       case OpType::Load: {
@@ -442,8 +463,8 @@ Simulation::finishThread(Thread &t)
 bool
 Simulation::run(Tick maxTicks)
 {
-    for (unsigned i = 0; i < threads_.size(); ++i)
-        cord_assert(threads_[i]->spawned, "thread ", i, " never spawned");
+    for (unsigned i = 0; i < numThreads_; ++i)
+        cord_assert(threads_[i].spawned, "thread ", i, " never spawned");
     cord_assert(timingCord_ == nullptr ||
                     std::find(detectors_.begin(), detectors_.end(),
                               timingCord_) != detectors_.end(),
@@ -459,8 +480,7 @@ Simulation::run(Tick maxTicks)
     batch_.resize(detectors_.empty() ? 0 : flushAt_);
     batched_ = 0;
     if (sched_)
-        sched_->begin(static_cast<unsigned>(threads_.size()),
-                      static_cast<unsigned>(cores_.size()));
+        sched_->begin(numThreads_, static_cast<unsigned>(cores_.size()));
     for (unsigned c = 0; c < cores_.size(); ++c) {
         if (!cores_[c].threads.empty())
             scheduleCore(static_cast<CoreId>(c));
@@ -469,12 +489,12 @@ Simulation::run(Tick maxTicks)
     while (!allFinished()) {
         if (events_.empty())
             cord_panic("event queue drained with ", finishedThreads_,
-                       " of ", threads_.size(), " threads finished");
+                       " of ", numThreads_, " threads finished");
         if (events_.now() > maxTicks) {
             completed = false; // watchdog: no Detector::finish()
             break;
         }
-        events_.step();
+        dispatch(events_.pop());
     }
     flushDetectors(); // a watchdog stop can leave a partial batch
     if (timingCord_)

@@ -8,6 +8,13 @@
  *
  * An optional ExecutionGate throttles instruction retirement, which is
  * how deterministic replay (cord/replay.h) enforces the recorded order.
+ *
+ * Every event names the thread or core it acts on (sim/event_queue.h):
+ * a core issue step, a memory-op completion, a compute completion or a
+ * gate retry.  run() pops each one and dispatch() switches on its kind.
+ * An in-flight operation is never copied: its OpRequest stays in the
+ * suspended coroutine frame (runtime/sim_task.h), and the completion
+ * reads it there through the thread's driver.
  */
 
 #ifndef CORD_CPU_SIMULATION_H
@@ -173,7 +180,7 @@ class Simulation : public CordTrafficSink
     /** Tick at which the last thread finished. */
     Tick finishTick() const { return finishTick_; }
 
-    bool allFinished() const { return finishedThreads_ == threads_.size(); }
+    bool allFinished() const { return finishedThreads_ == numThreads_; }
 
     /** Instructions retired by @p tid. */
     std::uint64_t instrCount(ThreadId tid) const;
@@ -201,10 +208,7 @@ class Simulation : public CordTrafficSink
     const ValueStore &memory() const { return values_; }
     TimingMemSystem &mem() { return mem_; }
     EventQueue &events() { return events_; }
-    unsigned numThreads() const
-    {
-        return static_cast<unsigned>(threads_.size());
-    }
+    unsigned numThreads() const { return numThreads_; }
 
   private:
     struct Thread
@@ -254,8 +258,12 @@ class Simulation : public CordTrafficSink
     /** Dispatch the thread's pending memory operation. */
     void issueMemOp(Thread &t);
 
-    /** Commit a completed memory op: values, detectors, result. */
-    void commitMemOp(Thread &t, const OpRequest &op);
+    /** Run one popped event. */
+    void dispatch(EventTarget ev);
+
+    /** Commit the thread's completed memory op (t.drv.pending()):
+     *  values, detectors, result. */
+    void commitMemOp(Thread &t);
 
     void publish(Thread &t, Addr addr, AccessKind kind,
                  std::uint64_t value);
@@ -277,9 +285,9 @@ class Simulation : public CordTrafficSink
     EventQueue events_;
     TimingMemSystem mem_;
     ValueStore values_;
-    // unique_ptr: ThreadDriver is immovable and in-flight events capture
-    // Thread addresses, so element addresses must be stable.
-    std::vector<std::unique_ptr<Thread>> threads_;
+    // An array, not a vector: ThreadDriver is immovable.
+    std::unique_ptr<Thread[]> threads_;
+    unsigned numThreads_;
     std::vector<Core> cores_;
     std::vector<Detector *> detectors_;
     CordDetector *timingCord_ = nullptr;

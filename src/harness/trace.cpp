@@ -123,6 +123,12 @@ decodeTrace(const std::vector<std::uint8_t> &bytes)
         ev.value = w.value;
         ev.tid = w.tid;
         ev.core = w.core;
+        // No run has this many threads or cores; sizing per-thread or
+        // per-core state by such an ID would exhaust memory or abort.
+        if (w.tid >= kMaxThreads || w.core >= kMaxCores)
+            cord_fatal("corrupt trace: event ", i, " names thread ", w.tid,
+                       " on core ", w.core, " (a run has at most ",
+                       kMaxThreads, " threads and ", kMaxCores, " cores)");
         if (w.kind > static_cast<std::uint8_t>(AccessKind::SyncWrite))
             cord_fatal("corrupt trace: bad access kind ", w.kind);
         ev.kind = static_cast<AccessKind>(w.kind);
@@ -131,6 +137,10 @@ decodeTrace(const std::vector<std::uint8_t> &bytes)
     for (std::uint64_t i = 0; i < nEnds; ++i) {
         const auto tid = getRaw<std::uint16_t>(bytes, off);
         const auto instrs = getRaw<std::uint64_t>(bytes, off);
+        if (tid >= kMaxThreads)
+            cord_fatal("corrupt trace: thread end ", i, " names thread ",
+                       tid, " (a run has at most ", kMaxThreads,
+                       " threads)");
         out.threadEnds.emplace_back(tid, instrs);
     }
     cord_assert(off == bytes.size(), "trailing bytes in trace buffer");

@@ -8,6 +8,11 @@
  * resumes them when the operation completes, delivering its result.
  * Nested coroutine calls use symmetric transfer, so a thread is always
  * resumable through a single "active" handle held by its ThreadDriver.
+ *
+ * An in-flight operation lives only in its OpAwaiter, inside the
+ * suspended coroutine frame, which stays live until the thread is
+ * resumed; the driver holds a pointer to it, so the engine reads the
+ * request in place from issue to commit and never copies it.
  */
 
 #ifndef CORD_RUNTIME_SIM_TASK_H
@@ -109,7 +114,7 @@ class ThreadDriver
         promise->drv = this;
         active_ = root;
         finished_ = false;
-        hasPending_ = false;
+        pending_ = nullptr;
     }
 
     /** Resume the thread until it requests an op or finishes. */
@@ -117,35 +122,36 @@ class ThreadDriver
     resume()
     {
         cord_assert(!finished_, "resuming a finished thread");
-        cord_assert(!hasPending_, "resuming with an unserved request");
+        cord_assert(!hasPending(), "resuming with an unserved request");
         cord_assert(active_, "thread has no active coroutine");
         active_.resume();
-        cord_assert(finished_ || hasPending_,
+        cord_assert(finished_ || hasPending(),
                     "thread suspended without requesting an operation");
     }
 
     bool finished() const { return finished_; }
-    bool hasPending() const { return hasPending_; }
+    bool hasPending() const { return pending_ != nullptr; }
 
-    /** The pending operation request (valid when hasPending()). */
-    const OpRequest &pending() const { return pending_; }
+    /** The pending operation request (valid when hasPending()), read
+     *  in place from the suspended coroutine's OpAwaiter. */
+    const OpRequest &pending() const { return *pending_; }
 
     /** Deliver the result of the pending operation; the next resume()
      *  continues past the corresponding co_await. */
     void
     complete(const OpResult &r)
     {
-        cord_assert(hasPending_, "completing with no pending request");
+        cord_assert(hasPending(), "completing with no pending request");
         result_ = r;
-        hasPending_ = false;
+        pending_ = nullptr;
     }
 
     /// @{ @name Internal coroutine plumbing
+    /** @p req lives in the awaiter of @p leaf's suspended frame. */
     void
-    requestOp(const OpRequest &req, std::coroutine_handle<> leaf)
+    requestOp(const OpRequest *req, std::coroutine_handle<> leaf)
     {
         pending_ = req;
-        hasPending_ = true;
         active_ = leaf;
     }
 
@@ -173,9 +179,8 @@ class ThreadDriver
 
     std::coroutine_handle<> root_ = nullptr;
     std::coroutine_handle<> active_ = nullptr;
-    OpRequest pending_{};
+    const OpRequest *pending_ = nullptr;
     OpResult result_{};
-    bool hasPending_ = false;
     bool finished_ = true;
 };
 
@@ -335,7 +340,8 @@ class Task<void>
     std::coroutine_handle<promise_type> h_;
 };
 
-/** Awaitable issuing one primitive operation to the thread's driver. */
+/** Awaitable issuing one primitive operation to the thread's driver;
+ *  the request stays here, in the coroutine frame, until completion. */
 struct OpAwaiter
 {
     OpRequest req;
@@ -348,7 +354,7 @@ struct OpAwaiter
     await_suspend(std::coroutine_handle<P> h)
     {
         drv = h.promise().drv;
-        drv->requestOp(req, h);
+        drv->requestOp(&req, h);
     }
 
     OpResult await_resume() { return drv->lastResult(); }

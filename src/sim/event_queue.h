@@ -2,33 +2,47 @@
  * @file
  * Discrete event simulation kernel.
  *
- * All timing-model components (cores, buses, memory controller) schedule
- * callbacks on a single EventQueue.  Events at the same tick execute in
- * (priority, insertion-order) order, which makes every simulation run
- * bit-exactly deterministic for a given seed and configuration.
- *
- * The queue is a binary heap of 24-byte POD nodes (tick, packed
- * priority/seq key, arena slot); each callback is constructed once,
- * in place, in a pooled slot arena with an embedded free list.
- * Scheduling never heap-allocates for hot-path captures (EventCallback
- * stores up to 64 bytes inline), sift operations move only POD nodes,
- * and step() moves the callback out of its slot instead of copying the
- * event.
+ * The engine (cpu/simulation.h) schedules exactly four kinds of event,
+ * each naming the thread or core it acts on: a core issue step, a
+ * memory-op completion, a compute completion and a gate retry.  An
+ * event is therefore a POD target (kind, index) instead of a callable:
+ * the queue is a binary heap of 24-byte nodes (tick, packed
+ * priority/seq key, target), pop() hands back the earliest target, and
+ * the engine dispatches it with one switch.  Events at the same tick
+ * run in (priority, insertion-order) order, which makes every
+ * simulation run bit-exactly deterministic for a given seed and
+ * configuration.  Scheduling never allocates once the heap has grown
+ * to its steady-state size.
  */
 
 #ifndef CORD_SIM_EVENT_QUEUE_H
 #define CORD_SIM_EVENT_QUEUE_H
 
 #include <cstdint>
-#include <utility>
 #include <vector>
 
-#include "sim/inline_callback.h"
 #include "sim/logging.h"
 #include "sim/types.h"
 
 namespace cord
 {
+
+/** What an event does when it runs. */
+enum class EventKind : std::uint8_t
+{
+    CoreStep,    //!< issue step of core `index`
+    MemOpDone,   //!< thread `index`'s memory op completes
+    ComputeDone, //!< thread `index`'s compute chunk completes
+    GateRetry,   //!< gate-blocked thread `index` may try again
+};
+
+/** The event a heap node carries: its kind and the thread or core it
+ *  acts on. */
+struct EventTarget
+{
+    EventKind kind;
+    std::uint32_t index;
+};
 
 /**
  * Deterministic event scheduler.
@@ -42,11 +56,9 @@ class EventQueue
     /** Event priorities for same-tick ordering, lowest runs first. */
     enum Priority : int
     {
-        kPriBusGrant = 0,   //!< bus arbitration decisions
-        kPriResponse = 1,   //!< memory/cache responses to cores
-        kPriCore = 2,       //!< core wake-ups / issue
-        kPriDefault = 3,
-        kPriWalker = 4,     //!< background cache walker passes
+        kPriResponse = 1, //!< memory/compute completions
+        kPriCore = 2,     //!< core issue steps
+        kPriDefault = 3,  //!< gate retries
     };
 
     EventQueue() = default;
@@ -56,66 +68,49 @@ class EventQueue
     /** Current simulated time. */
     Tick now() const { return now_; }
 
-    /** Total events executed by step()/run() since construction,
-     *  including turns claimed with claimNext(). */
+    /** Total events popped since construction, including turns claimed
+     *  with claimNext(). */
     std::uint64_t executedEvents() const { return executed_; }
 
-    /** Total events scheduled since construction, including turns
-     *  claimed with claimNext(). */
-    std::uint64_t scheduledEvents() const { return nextSeq_; }
-
-    /**
-     * Claim the next turn for an event the caller would schedule at
-     * (now(), @p pri) and then wait for: when that event would be the
-     * next to run anyway, account for it exactly as schedule() + step()
-     * would (one seq, one executed event) and return true, so the
-     * caller runs the callback in place instead of round-tripping it
-     * through the heap.  Returns false, and changes nothing, when
-     * something pending must run first.
-     */
-    bool
-    claimNext(int pri)
-    {
-        if (!runsNext(pri))
-            return false;
-        ++nextSeq_;
-        ++executed_;
-        return true;
-    }
-
-    /**
-     * Schedule a callable at an absolute tick, constructing it directly
-     * inside its arena slot.
-     * @param when absolute tick, must be >= now()
-     * @param fn any `void()` callable (moved or copied into the slot)
-     * @param pri same-tick ordering priority
-     */
-    template <typename Fn>
-    void
-    schedule(Tick when, Fn &&fn, int pri = kPriDefault)
-    {
-        std::uint32_t slot;
-        if (freeHead_ != kNoSlot) {
-            slot = freeHead_;
-            freeHead_ = slots_[slot].nextFree;
-        } else {
-            slot = static_cast<std::uint32_t>(slots_.size());
-            slots_.emplace_back();
-        }
-        slots_[slot].cb.emplace(std::forward<Fn>(fn));
-        push(when, pri, slot);
-    }
-
-    /** Schedule a callable @p delta ticks from now. */
-    template <typename Fn>
-    void
-    scheduleIn(Tick delta, Fn &&fn, int pri = kPriDefault)
-    {
-        schedule(now_ + delta, std::forward<Fn>(fn), pri);
-    }
-
     /** True when no events remain. */
-    bool empty() const { return nodes_.empty(); }
+    bool empty() const { return size_ == 0; }
+
+    /**
+     * Schedule @p target at absolute tick @p when (>= now()).
+     * @param pri same-tick ordering priority, in [0, 256)
+     */
+    void
+    schedule(Tick when, EventTarget target, int pri = kPriDefault)
+    {
+        cord_assert(when >= now_, "scheduling event in the past: ", when,
+                    " < ", now_);
+        cord_assert(pri >= 0 && pri < 256, "priority out of range: ", pri);
+        push(Node{when, packKey(pri, nextSeq_++), target});
+    }
+
+    /** Schedule @p target @p delta ticks from now. */
+    void
+    scheduleIn(Tick delta, EventTarget target, int pri = kPriDefault)
+    {
+        schedule(now_ + delta, target, pri);
+    }
+
+    /**
+     * Remove the earliest event, advance now() to its tick and count it
+     * as executed.  The queue must not be empty.
+     */
+    EventTarget
+    pop()
+    {
+        cord_assert(size_ != 0, "pop from an empty event queue");
+        const Node &root = nodes_[0];
+        cord_assert(root.when >= now_, "event queue time went backwards");
+        now_ = root.when;
+        const EventTarget target = root.target;
+        popRoot();
+        ++executed_;
+        return target;
+    }
 
     /**
      * True when an event scheduled now at priority @p pri would run
@@ -127,100 +122,50 @@ class EventQueue
     bool
     runsNext(int pri) const
     {
-        if (nodes_.empty())
+        if (size_ == 0)
             return true;
-        const Node &top = nodes_.front();
+        const Node &top = nodes_[0];
         return top.when > now_ ||
                (top.key >> 56) > static_cast<std::uint64_t>(pri);
     }
 
-    /** Number of pending events. */
-    std::size_t pending() const { return nodes_.size(); }
-
     /**
-     * Run a single event (the earliest one).
-     * @return false if the queue was empty.
+     * Claim the next turn for an event the caller would schedule at
+     * (now(), @p pri) and then wait for: when that event would be the
+     * next to run anyway, account for it exactly as schedule() + pop()
+     * would (one seq, one executed event) and return true, so the
+     * caller runs it in place instead of round-tripping it through the
+     * heap.  Returns false, and changes nothing, when something pending
+     * must run first.
      */
     bool
-    step()
+    claimNext(int pri)
     {
-        if (nodes_.empty())
+        if (!runsNext(pri))
             return false;
-        const Node root = nodes_.front();
-        cord_assert(root.when >= now_, "event queue time went backwards");
-        now_ = root.when;
-        popRoot();
-        // Move the callback to the stack and release the slot *before*
-        // invoking: the callback may schedule() again (growing the
-        // arena) and can immediately reuse this slot.
-        EventCallback cb = std::move(slots_[root.slot].cb);
-        freeSlot(root.slot);
+        ++nextSeq_;
         ++executed_;
-        cb();
         return true;
-    }
-
-    /**
-     * Run events until the queue drains or @p maxTicks simulated time
-     * passes (a watchdog against accidental livelock in tests).
-     * @return number of events executed
-     */
-    std::uint64_t
-    run(Tick maxTicks = kMaxTick)
-    {
-        std::uint64_t executed = 0;
-        // Saturate: large-but-finite budgets (e.g. a campaign watchdog
-        // of `censusTicks * 25 + 1000000`) must clamp to kMaxTick, not
-        // wrap around and make the limit land in the past.
-        const Tick limit = (maxTicks >= kMaxTick - now_)
-                               ? kMaxTick
-                               : now_ + maxTicks;
-        while (!nodes_.empty() && nodes_.front().when <= limit) {
-            step();
-            ++executed;
-        }
-        return executed;
     }
 
   private:
     /**
-     * POD heap node; the callback lives in the slot arena.  Priority
-     * and insertion seq are packed into one 64-bit key
-     * (pri << 56 | seq) so same-tick ordering is a single integer
-     * compare; 2^56 events is out of reach (at 10^9 events/sec that is
-     * two years of wall clock), and priorities fit in 8 bits.
+     * POD heap node.  Priority and insertion seq are packed into one
+     * 64-bit key (pri << 56 | seq) so same-tick ordering is a single
+     * integer compare; 2^56 events is out of reach (at 10^9 events/sec
+     * that is two years of wall clock), and priorities fit in 8 bits.
      */
     struct Node
     {
         Tick when;
         std::uint64_t key;
-        std::uint32_t slot;
+        EventTarget target;
     };
 
     static constexpr std::uint64_t
     packKey(int pri, std::uint64_t seq)
     {
         return (static_cast<std::uint64_t>(pri) << 56) | seq;
-    }
-
-    /** Arena slot: a callback plus an embedded free-list link. */
-    struct Slot
-    {
-        EventCallback cb;
-        std::uint32_t nextFree = kNoSlot;
-    };
-
-    static constexpr std::uint32_t kNoSlot = ~std::uint32_t{0};
-
-    /** Enqueue a heap node for an already-filled slot. */
-    void
-    push(Tick when, int pri, std::uint32_t slot)
-    {
-        cord_assert(when >= now_, "scheduling event in the past: ", when,
-                    " < ", now_);
-        cord_assert(pri >= 0 && pri < 256, "priority out of range: ", pri);
-        nodes_.push_back(Node{when, packKey(pri, nextSeq_++), slot});
-        siftUp(nodes_.size() - 1);
     }
 
     /** True when @p a runs before @p b: (when, pri, seq) order with the
@@ -233,17 +178,18 @@ class EventQueue
         return a.key < b.key;
     }
 
+    /**
+     * Sift a hole up from the end and write @p n once, into the hole's
+     * final position.  @p n stays in registers: storing it first and
+     * reading it back as a whole node would stall on store forwarding.
+     * nodes_ only grows; size_ counts the live prefix.
+     */
     void
-    freeSlot(std::uint32_t s)
+    push(const Node n)
     {
-        slots_[s].nextFree = freeHead_;
-        freeHead_ = s;
-    }
-
-    void
-    siftUp(std::size_t i)
-    {
-        const Node n = nodes_[i];
+        if (size_ == nodes_.size())
+            nodes_.resize(nodes_.empty() ? 64 : 2 * nodes_.size());
+        std::size_t i = size_++;
         while (i > 0) {
             const std::size_t parent = (i - 1) / 2;
             if (!earlier(n, nodes_[parent]))
@@ -254,19 +200,15 @@ class EventQueue
         nodes_[i] = n;
     }
 
+    /** Drop the root: sift the tail node down from the top. */
     void
     popRoot()
     {
-        const std::size_t last = nodes_.size() - 1;
-        if (last == 0) {
-            nodes_.pop_back();
+        const std::size_t size = --size_;
+        if (size == 0)
             return;
-        }
-        const Node n = nodes_[last];
-        nodes_.pop_back();
-        // Sift the displaced tail node down from the root.
+        const Node n = nodes_[size];
         std::size_t i = 0;
-        const std::size_t size = nodes_.size();
         for (;;) {
             const std::size_t left = 2 * i + 1;
             if (left >= size)
@@ -283,9 +225,8 @@ class EventQueue
         nodes_[i] = n;
     }
 
-    std::vector<Node> nodes_;
-    std::vector<Slot> slots_;
-    std::uint32_t freeHead_ = kNoSlot;
+    std::vector<Node> nodes_; //!< heap in [0, size_), spare capacity past
+    std::size_t size_ = 0;
     Tick now_ = 0;
     std::uint64_t nextSeq_ = 0;
     std::uint64_t executed_ = 0;

@@ -47,6 +47,12 @@ constexpr ThreadId kInvalidThread = 0xffff;
 constexpr unsigned kDefaultNumCores = 4;
 constexpr unsigned kDefaultNumThreads = 4;
 
+/** Largest core and thread counts a run takes (`--cores` and
+ *  `--threads` of cordsim and cordlint); a recorded trace never names a
+ *  larger core or thread ID, so its loader refuses one. */
+constexpr unsigned kMaxCores = 1024;
+constexpr unsigned kMaxThreads = 1024;
+
 /** Scalar logical timestamp as stored in cache lines (paper: 16 bits). */
 using Ts16 = std::uint16_t;
 

@@ -1,20 +1,32 @@
 /**
  * @file
  * Unit tests for the access-trace tooling (harness/trace.h): binary
- * round trip, file I/O, and offline detector equivalence (a detector
- * driven from a trace must report exactly what it reported online).
+ * round trip, file I/O, offline detector equivalence (a detector
+ * driven from a trace must report exactly what it reported online),
+ * and cordlint on mutated traces and order logs.
  */
 
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
+#include <sys/resource.h>
+#include <sys/wait.h>
+#include <unistd.h>
+
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
+#include <fstream>
+#include <string>
+#include <vector>
 
 #include "cord/cord_detector.h"
 #include "cord/ideal_detector.h"
+#include "cord/log_codec.h"
 #include "harness/runner.h"
 #include "harness/trace.h"
 #include "inject/injector.h"
+#include "sim/rng.h"
 
 namespace cord
 {
@@ -67,6 +79,15 @@ TEST(Trace, CorruptBufferIsFatal)
     std::memcpy(hugeCount.data() + 8, &claimed, sizeof claimed);
     std::vector<std::uint8_t> trailing = good;
     trailing.push_back(0);
+    // The record's thread and core IDs sit at bytes 32-35 of the
+    // record; a thread end's ID is its first two bytes.
+    std::vector<std::uint8_t> badTid = good;
+    badTid[24 + 33] = 0x04; // thread 1024
+    std::vector<std::uint8_t> badCore = good;
+    badCore[24 + 35] = 0xff; // core 65280
+    rec.onThreadEnd(0, 1);
+    std::vector<std::uint8_t> badEnd = encodeTrace(rec);
+    badEnd[64 + 1] = 0x80; // thread 32768
 
     const struct
     {
@@ -83,6 +104,9 @@ TEST(Trace, CorruptBufferIsFatal)
                                                   good.begin() + 2),
          "truncated trace"},
         {"one trailing byte", trailing, "1 trailing byte"},
+        {"thread ID", badTid, "names thread 1024"},
+        {"core ID", badCore, "on core 65280"},
+        {"thread-end ID", badEnd, "thread end 0 names thread 32768"},
     };
     for (const auto &c : cases) {
         SCOPED_TRACE(c.name);
@@ -149,6 +173,140 @@ TEST(Trace, FileRoundTrip)
     EXPECT_EQ(dec.events.size(), 100u);
     EXPECT_EQ(dec.events[99].tick, 99u);
     std::remove(path.c_str());
+}
+
+void
+writeBytes(const std::string &path, const std::vector<std::uint8_t> &b)
+{
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(reinterpret_cast<const char *>(b.data()),
+              static_cast<std::streamsize>(b.size()));
+}
+
+/**
+ * Run `cordlint --log LOG --trace TRACE` in a child with its output
+ * discarded, under an address-space and a CPU-time limit, so that an
+ * unbounded allocation or a hang ends in a signal instead of taking
+ * the host down.  Sanitizer runtimes reserve terabytes of shadow
+ * address space, so sanitized builds keep only the CPU limit.
+ * @return the exit code, or minus the signal that ended the child
+ */
+int
+lintChild(const std::string &log, const std::string &trace)
+{
+    const pid_t pid = ::fork();
+    if (pid == 0) {
+        const int devnull = ::open("/dev/null", O_WRONLY);
+        ::dup2(devnull, STDOUT_FILENO);
+        ::dup2(devnull, STDERR_FILENO);
+#if !defined(__SANITIZE_ADDRESS__) && !defined(__SANITIZE_THREAD__)
+        const rlim_t as = rlim_t{1} << 30;
+        const rlimit asLimit{as, as};
+        ::setrlimit(RLIMIT_AS, &asLimit);
+#endif
+        const rlimit cpuLimit{60, 60};
+        ::setrlimit(RLIMIT_CPU, &cpuLimit);
+        ::execl(CORDLINT_BIN, CORDLINT_BIN, "--log", log.c_str(),
+                "--trace", trace.c_str(), static_cast<char *>(nullptr));
+        ::_exit(127);
+    }
+    int status = 0;
+    if (pid < 0 || ::waitpid(pid, &status, 0) != pid)
+        return 127;
+    return WIFEXITED(status) ? WEXITSTATUS(status) : -WTERMSIG(status);
+}
+
+/**
+ * Seeded, bounded mutation of cordlint's two binary inputs, the access
+ * trace and the order log (which goes through checkWireLog,
+ * checkLogWellFormed and checkReplayFeasible): bit flips, truncation,
+ * splices and inflated counts, plus a flipped high byte of a record's
+ * thread and core ID.  cordlint must end every mutant with exit 0
+ * (clean), 1 (findings, or a refused input) or 2 (usage), never with a
+ * signal.
+ */
+TEST(CordlintInputMutation, EveryMutantExitsWithAStatus)
+{
+    RunSetup run;
+    run.workload = "fft";
+    run.params.seed = 11;
+    TraceRecorder trace;
+    CordDetector cord(CordConfig::forMachine(run.machine, 4));
+    run.detectors = {&trace, &cord};
+    ASSERT_TRUE(runWorkload(run).completed);
+
+    const std::string dir = ::testing::TempDir();
+    const std::string tracePath = dir + "/cord_mutant.trace";
+    const std::string logPath = dir + "/cord_mutant.ordlog";
+    const std::vector<std::uint8_t> baseTrace = encodeTrace(trace);
+    const std::vector<std::uint8_t> baseLog = encodeOrderLog(cord.orderLog());
+    ASSERT_GT(baseTrace.size(), 24u + 40u * 8);
+    ASSERT_GE(baseLog.size(), 8u * 8);
+    writeBytes(tracePath, baseTrace);
+    writeBytes(logPath, baseLog);
+    ASSERT_EQ(lintChild(logPath, tracePath), 0) << "the unmutated pair";
+
+    Rng rng(0xc0d17);
+    const std::uint64_t inflated[] = {2, std::uint64_t{1} << 32,
+                                      ~std::uint64_t{0} >> 1,
+                                      ~std::uint64_t{0}};
+    constexpr unsigned kMutants = 160;
+    unsigned refused = 0;
+    for (unsigned i = 0; i < kMutants; ++i) {
+        const bool mutateTrace = i % 2 == 0;
+        const std::vector<std::uint8_t> &base =
+            mutateTrace ? baseTrace : baseLog;
+        std::vector<std::uint8_t> m = base;
+        switch (i / 2 % 5) {
+          case 0: // bit flips
+            for (std::uint64_t n = rng.range(1, 8); n > 0; --n)
+                m[rng.below(m.size())] ^= 1u << rng.below(8);
+            break;
+          case 1: // truncation
+            m.resize(rng.below(m.size()));
+            break;
+          case 2: { // splice: a prefix joined to another suffix
+            const std::size_t cut = rng.below(base.size() + 1);
+            const std::size_t from = rng.below(base.size() + 1);
+            m.assign(base.begin(), base.begin() + cut);
+            m.insert(m.end(), base.begin() + from, base.end());
+            break;
+          }
+          case 3: { // inflated counts
+            const std::uint64_t big =
+                inflated[rng.below(std::size(inflated))];
+            if (mutateTrace) {
+                // The header's event or thread-end count.
+                std::memcpy(m.data() + 8 + 8 * rng.below(2), &big, 8);
+            } else {
+                // An entry's 32-bit instruction count.
+                const std::uint32_t instrs =
+                    static_cast<std::uint32_t>(big | 1);
+                std::memcpy(m.data() + 8 * rng.below(m.size() / 8) + 4,
+                            &instrs, 4);
+            }
+            break;
+          }
+          default: // a thread or core ID's high byte
+            if (mutateTrace)
+                m[24 + 40 * rng.below((m.size() - 24) / 40) + 33 +
+                  2 * rng.below(2)] ^= 0xff;
+            else
+                m[8 * rng.below(m.size() / 8) + 1] ^= 0xff;
+            break;
+        }
+        writeBytes(mutateTrace ? tracePath : logPath, m);
+        const int status = lintChild(logPath, tracePath);
+        EXPECT_TRUE(status >= 0 && status <= 2)
+            << "mutant " << i << " of the "
+            << (mutateTrace ? "trace" : "order log") << " ended in "
+            << (status < 0 ? "signal " : "exit ") << std::abs(status);
+        refused += status == 1;
+        writeBytes(mutateTrace ? tracePath : logPath, base);
+    }
+    EXPECT_GT(refused, 0u);
+    std::remove(tracePath.c_str());
+    std::remove(logPath.c_str());
 }
 
 } // namespace

@@ -217,9 +217,9 @@ parse(int argc, char **argv)
         } else if (a == "--scale") {
             opt.scale = static_cast<unsigned>(num(1, 1u << 20));
         } else if (a == "--threads") {
-            opt.threads = static_cast<unsigned>(num(1, 1024));
+            opt.threads = static_cast<unsigned>(num(1, kMaxThreads));
         } else if (a == "--cores") {
-            opt.cores = static_cast<unsigned>(num(1, 1024));
+            opt.cores = static_cast<unsigned>(num(1, kMaxCores));
         } else if (a == "--seed") {
             opt.seed = num(0);
         } else if (a == "--load") {
