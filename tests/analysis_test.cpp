@@ -493,5 +493,69 @@ TEST(Lint, CordRunWithoutWireFormReportsWindow)
         << report.renderText();
 }
 
+/** FNV-1a over the bytes of @p s. */
+std::uint64_t
+fnv1a(const std::string &s)
+{
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    for (unsigned char c : s) {
+        h ^= c;
+        h *= 0x100000001b3ULL;
+    }
+    return h;
+}
+
+TEST(LintGolden, ReportsAreStable)
+{
+    // Pins the rendered JSON report of four lint inputs: the fft
+    // seed-11 order log and trace with and without the audit, the
+    // in-memory lint of a racy cholesky injection (cordsim --workload
+    // cholesky --inject 0:5 --lint), and a log-only lint against a
+    // declared thread count.
+    const Recording fft = record("fft", 11);
+    ASSERT_TRUE(fft.completed);
+
+    RunSetup setup;
+    setup.workload = "cholesky";
+    CordDetector cord(CordConfig::forMachine(setup.machine, 4));
+    TraceRecorder trace;
+    RemoveOneInstance filter({0, 5});
+    setup.filter = &filter;
+    setup.maxTicks = 2000000000ULL;
+    setup.detectors = {&cord, &trace};
+    ASSERT_TRUE(runWorkload(setup).completed);
+
+    std::vector<std::pair<const char *, LintReport>> reports;
+    {
+        LintInput in;
+        in.wireLog = &fft.wireLog;
+        in.trace = &fft.trace;
+        reports.emplace_back("fft-audit", runLint(in));
+        in.audit = false;
+        reports.emplace_back("fft-no-audit", runLint(in));
+    }
+    reports.emplace_back("cholesky-inject", lintCordRun(cord, trace));
+    {
+        LintInput in;
+        in.wireLog = &fft.wireLog;
+        in.numThreads = 4;
+        reports.emplace_back("fft-log-only", runLint(in));
+    }
+    EXPECT_GT(reports[2].second.metrics().at("audit.idealPairs"), 0.0);
+
+    const std::uint64_t expected[] = {
+        0xe1e04541609c5a5eULL,
+        0xd423d099bd779800ULL,
+        0xfe757c883c3051c0ULL,
+        0x97cdb5bedef91443ULL,
+    };
+    for (std::size_t k = 0; k < reports.size(); ++k) {
+        const std::string json = reports[k].second.renderJson();
+        EXPECT_EQ(fnv1a(json), expected[k])
+            << reports[k].first << ": 0x" << std::hex << fnv1a(json)
+            << "\n" << json;
+    }
+}
+
 } // namespace
 } // namespace cord
