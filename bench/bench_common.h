@@ -337,7 +337,7 @@ attachLintObserver(CampaignConfig &cfg)
                 dynamic_cast<const CordDetector *>(det.get());
             if (!cord)
                 continue;
-            const LintReport rep = lintCordRun(*cord, *view.trace);
+            const LintReport rep = lintCordRun(*cord, view.trace->trace());
             if (rep.errors() > 0 || rep.warnings() > 0) {
                 std::fputs(rep.renderText().c_str(), stderr);
                 cord_fatal("cordlint failed for ", app,

@@ -74,11 +74,7 @@ recordTrace(const std::string &app)
     setup.detectors.push_back(&rec);
     const RunOutcome out = runWorkload(setup);
     cord_assert(out.completed, "trace run did not complete: ", app);
-
-    DecodedTrace trace;
-    trace.events = rec.events();
-    trace.threadEnds = rec.threadEnds();
-    return trace;
+    return rec.trace();
 }
 
 template <typename Fn>
@@ -155,7 +151,7 @@ main(int argc, char **argv)
         sopt.sampleRate = 8;
         Cell samp = measure(app, "Predict/8", trace, [&](Cell &c) {
             const PredictiveAnalysis p =
-                PredictiveAnalysis::analyze(trace, 0, sopt);
+                PredictiveAnalysis::analyze(trace, sopt);
             c.pairs = p.pairs();
             c.words = p.racyWords().size();
         });

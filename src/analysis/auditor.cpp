@@ -27,7 +27,7 @@ auditCoverage(const DecodedTrace &trace, const HbAnalysis &hb,
     report.markChecked("audit.coverage");
 
     CordConfig offlineCfg = cfg;
-    offlineCfg.numThreads = std::max(1u, hb.numThreads());
+    offlineCfg.numThreads = std::max(1u, trace.threads());
     offlineCfg.numCores = coresInTrace(trace);
     CordDetector cord(offlineCfg, "CORD-offline");
     // Each record CORD adds carries the access it is processing.

@@ -22,7 +22,9 @@ cordlintUsageText()
         "check options:\n"
         "  --log FILE          wire-format order log (8 bytes/entry)\n"
         "  --trace FILE        access trace of the same run\n"
-        "  --threads N         declared thread count (default: derived)\n"
+        "  --threads N         declared thread count: the log's thread\n"
+        "                      IDs are checked against it, and a trace\n"
+        "                      must end exactly that many threads\n"
         "  --d N               CORD margin D for the audit (default 16)\n"
         "  --no-audit          skip the (more expensive) coverage audit\n"
         "  at least one of --log / --trace is required\n"
@@ -31,7 +33,8 @@ cordlintUsageText()
         "  --trace FILE        access trace to predict from (required)\n"
         "  --log FILE          order log; when given it is verified and\n"
         "                      a corrupt log aborts the prediction\n"
-        "  --threads N         declared thread count (default: derived)\n"
+        "  --threads N         declared thread count; the trace must end\n"
+        "                      exactly that many threads\n"
         "  --sample-rate N     analyze one in N data words (default 1)\n"
         "  --max-witnesses N   witness cap per report (default 16)\n"
         "\n"
@@ -60,7 +63,8 @@ cordlintUsageText()
         "  --strict            exit nonzero on warnings, not just errors\n"
         "  --help              print this message and exit\n"
         "\n"
-        "Exit status: 0 = clean, 1 = findings, 2 = usage error.\n";
+        "Exit status: 0 = clean, 1 = findings, 2 = usage error or a\n"
+        "trace that cannot be read or is corrupt.\n";
 }
 
 namespace

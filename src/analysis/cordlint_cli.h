@@ -53,7 +53,7 @@ struct CordlintCli
     // check + predict inputs
     std::string logPath;
     std::string tracePath;
-    unsigned threads = 0; //!< declared threads (0 = derive); in xval
+    unsigned threads = 0; //!< declared threads (0 = none); in xval
                           //!< mode the run's thread count (default 4)
     std::uint32_t d = 16;
     bool audit = true;

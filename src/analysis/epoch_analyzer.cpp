@@ -6,12 +6,11 @@ namespace cord
 {
 
 void
-findEarlierEndpoints(const DecodedTrace &trace, unsigned numThreads,
-                     EngineRaces &r)
+findEarlierEndpoints(const DecodedTrace &trace, EngineRaces &r)
 {
     // One row per racy word: n last-write trace indices, then n
     // last-read ones.  A race's earlier access always set its slot.
-    const std::size_t n = numThreads;
+    const std::size_t n = trace.threads();
     FlatAddrMap<std::uint32_t> rowOf;
     for (Addr w : r.racyWords) {
         const auto row = static_cast<std::uint32_t>(rowOf.size());
@@ -38,16 +37,15 @@ findEarlierEndpoints(const DecodedTrace &trace, unsigned numThreads,
 }
 
 HbAnalysis
-analyzeEpochCompressed(const DecodedTrace &trace, unsigned numThreads)
+analyzeEpochCompressed(const DecodedTrace &trace)
 {
     HbAnalysis a;
-    a.declaredThreads_ = numThreads;
-    a.numThreads_ = HbAnalysis::resolveThreads(trace, numThreads);
+    a.numThreads_ = trace.threads();
     if (a.numThreads_ == 0)
         return a;
 
     EngineRaces r = engineRaces<SyncOrder::HappensBefore>(
-        trace, a.numThreads_, [](const MemEvent &) { return true; });
+        trace, [](const MemEvent &) { return true; });
     for (const HbRace &race : r.races)
         a.endpoints_.insert(
             std::make_tuple(race.tick, race.word, race.accessor));

@@ -40,18 +40,17 @@ struct EngineRaces
 
 /** Fill in @p r.earlier and each race's otherTick from @p r.later
  *  with one pass over the racy words' data accesses. */
-void findEarlierEndpoints(const DecodedTrace &trace, unsigned numThreads,
-                          EngineRaces &r);
+void findEarlierEndpoints(const DecodedTrace &trace, EngineRaces &r);
 
-/** Every racing pair of @p trace under @p Order (@p numThreads must
- *  cover the trace).  Sync events always reach the engine; a data
- *  event only when @p keep(ev) holds. */
+/** Every racing pair of @p trace (of at least one thread) under
+ *  @p Order.  Sync events always reach the engine; a data event only
+ *  when @p keep(ev) holds. */
 template <SyncOrder Order, typename Keep>
 EngineRaces
-engineRaces(const DecodedTrace &trace, unsigned numThreads, Keep &&keep)
+engineRaces(const DecodedTrace &trace, Keep &&keep)
 {
     EngineRaces r;
-    IdealDetector engine(numThreads);
+    IdealDetector engine(trace.threads());
     for (std::uint64_t i = 0; i < trace.events.size(); ++i) {
         const MemEvent &ev = trace.events[i];
         if (!ev.isSync() && !keep(ev))
@@ -64,15 +63,14 @@ engineRaces(const DecodedTrace &trace, unsigned numThreads, Keep &&keep)
             r.later.push_back(i);
         });
     }
-    findEarlierEndpoints(trace, numThreads, r);
+    findEarlierEndpoints(trace, r);
     return r;
 }
 
 /** The full happens-before race set, result-identical to
- *  HbAnalysis::analyze(trace, numThreads): same pairs in the same
- *  order, racy words, endpoints and thread-count resolution. */
-HbAnalysis analyzeEpochCompressed(const DecodedTrace &trace,
-                                  unsigned numThreads = 0);
+ *  HbAnalysis::analyze(trace): same thread count, pairs in the same
+ *  order, racy words and endpoints. */
+HbAnalysis analyzeEpochCompressed(const DecodedTrace &trace);
 
 } // namespace cord
 

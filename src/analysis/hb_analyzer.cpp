@@ -1,45 +1,18 @@
 #include "analysis/hb_analyzer.h"
 
-#include <algorithm>
-
 #include "sim/logging.h"
 
 namespace cord
 {
 
-unsigned
-HbAnalysis::threadsInTrace(const DecodedTrace &trace)
-{
-    unsigned maxTid = 0;
-    bool any = false;
-    for (const MemEvent &ev : trace.events) {
-        maxTid = std::max(maxTid, static_cast<unsigned>(ev.tid));
-        any = true;
-    }
-    for (const auto &[tid, instrs] : trace.threadEnds) {
-        maxTid = std::max(maxTid, static_cast<unsigned>(tid));
-        any = true;
-    }
-    return any ? maxTid + 1 : 0;
-}
-
-unsigned
-HbAnalysis::resolveThreads(const DecodedTrace &trace, unsigned declared)
-{
-    // Never trust a declared count smaller than what the trace uses:
-    // indexing per-thread state by an out-of-range ThreadId would be
-    // UB-adjacent with asserts compiled out (CORD_ASSERT_LEVEL=0), and
-    // a hostile header must not crash an offline analyzer.
-    const unsigned derived = threadsInTrace(trace);
-    return std::max(declared, derived);
-}
-
 HbAnalysis
 HbAnalysis::analyze(const DecodedTrace &trace, unsigned numThreads)
 {
+    cord_assert(numThreads == 0 || numThreads == trace.threads(),
+                "a trace of ", trace.threads(), " threads analyzed as ",
+                numThreads);
     HbAnalysis a;
-    a.declaredThreads_ = numThreads;
-    a.numThreads_ = resolveThreads(trace, numThreads);
+    a.numThreads_ = trace.threads();
     if (a.numThreads_ == 0)
         return a;
     const unsigned n = a.numThreads_;

@@ -51,29 +51,12 @@ struct HbRace
 class HbAnalysis
 {
   public:
-    /**
-     * Analyze a trace.  @p numThreads may be 0 to derive the thread
-     * count from the trace contents.  A declared count smaller than
-     * what the trace actually uses is never trusted: the analyzer
-     * derives the real count defensively (no out-of-bounds indexing on
-     * hostile headers) and records the override so lint can surface it
-     * as a `trace.threads` finding.
-     */
+    /** Analyze a trace of trace.threads() threads; a non-zero
+     *  @p numThreads must equal that count. */
     static HbAnalysis analyze(const DecodedTrace &trace,
                               unsigned numThreads = 0);
 
     unsigned numThreads() const { return numThreads_; }
-
-    /** Thread count the caller declared (0 = derive). */
-    unsigned declaredThreads() const { return declaredThreads_; }
-
-    /** True when the trace used thread IDs beyond the declared count
-     *  and the analyzer grew the count instead of trusting the header. */
-    bool
-    threadCountOverridden() const
-    {
-        return declaredThreads_ != 0 && numThreads_ > declaredThreads_;
-    }
 
     /** All racing pairs, in trace order of the later endpoint. */
     const std::vector<HbRace> &races() const { return races_; }
@@ -97,22 +80,13 @@ class HbAnalysis
                0;
     }
 
-    /** Derive the thread count a trace requires. */
-    static unsigned threadsInTrace(const DecodedTrace &trace);
-
-    /** Shared defensive thread-count resolution (see analyze()). */
-    static unsigned resolveThreads(const DecodedTrace &trace,
-                                   unsigned declared);
-
   private:
     HbAnalysis() = default;
 
     /** The epoch-compressed engine builds the same result type. */
-    friend HbAnalysis analyzeEpochCompressed(const DecodedTrace &trace,
-                                             unsigned numThreads);
+    friend HbAnalysis analyzeEpochCompressed(const DecodedTrace &trace);
 
     unsigned numThreads_ = 0;
-    unsigned declaredThreads_ = 0;
     std::vector<HbRace> races_;
     std::set<Addr> racyWords_;
     std::set<std::tuple<Tick, Addr, ThreadId>> endpoints_;

@@ -16,9 +16,7 @@ runLint(const LintInput &in)
 
     LogCheckOptions opt;
     opt.initialClock = in.initialClock;
-    opt.numThreads = in.numThreads;
-    if (opt.numThreads == 0 && in.trace)
-        opt.numThreads = HbAnalysis::threadsInTrace(*in.trace);
+    opt.numThreads = in.trace ? in.trace->threads() : in.numThreads;
 
     // Decode (or adopt) the order log.
     std::optional<OrderLog> decoded;
@@ -42,20 +40,12 @@ runLint(const LintInput &in)
     if (in.trace) {
         // Same race set as HbAnalysis::analyze, but epoch-compressed
         // (analysis/epoch_analyzer.h) -- lint runs on every artifact.
-        const HbAnalysis hb =
-            analyzeEpochCompressed(*in.trace, opt.numThreads);
+        const HbAnalysis hb = analyzeEpochCompressed(*in.trace);
         report.setMetric("trace.events",
                          static_cast<double>(in.trace->events.size()));
         report.setMetric("trace.threads",
                          static_cast<double>(hb.numThreads()));
-        if (hb.threadCountOverridden()) {
-            std::ostringstream os;
-            os << "trace uses thread IDs beyond the declared count ("
-               << hb.declaredThreads() << " declared, "
-               << hb.numThreads()
-               << " required); analysis used the derived count";
-            report.warning("trace.threads", os.str());
-        }
+        checkDeclaredThreads(*in.trace, in.numThreads, report);
         if (in.audit)
             auditCoverage(*in.trace, hb, in.cordConfig, report);
         if (in.onlineReport)
@@ -66,9 +56,20 @@ runLint(const LintInput &in)
     return report;
 }
 
+void
+checkDeclaredThreads(const DecodedTrace &trace, unsigned declared,
+                     LintReport &report)
+{
+    if (declared == 0 || declared == trace.threads())
+        return;
+    std::ostringstream os;
+    os << declared << " threads declared, but the trace ends "
+       << trace.threads();
+    report.error("trace.threads", os.str());
+}
+
 LintReport
-lintCordRun(const CordDetector &cord, const TraceRecorder &trace,
-            unsigned numThreads)
+lintCordRun(const CordDetector &cord, const DecodedTrace &trace)
 {
     // A log that breaks the bounded-jump invariant has no wire form;
     // lint it in memory, where checkLogWellFormed reports log.window.
@@ -80,12 +81,8 @@ lintCordRun(const CordDetector &cord, const TraceRecorder &trace,
     } else {
         in.log = &cord.orderLog();
     }
-    DecodedTrace decoded;
-    decoded.events = trace.events();
-    decoded.threadEnds = trace.threadEnds();
-    in.trace = &decoded;
+    in.trace = &trace;
     in.onlineReport = &cord.races();
-    in.numThreads = numThreads;
     in.cordConfig = cord.config();
     return runLint(in);
 }

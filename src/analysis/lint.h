@@ -46,7 +46,9 @@ struct LintInput
     /** CORD's online race report, audited when a trace is present. */
     const RaceReport *onlineReport = nullptr;
 
-    /** Thread count of the run; 0 = derive from trace/log. */
+    /** Declared thread count (0 = none): without a trace the log's
+     *  thread IDs are checked against it (log.threads); with one it
+     *  must equal the trace's own count (trace.threads). */
     unsigned numThreads = 0;
 
     /** Initial thread clock (CORD starts threads at 1). */
@@ -63,15 +65,18 @@ struct LintInput
 /** Run every applicable check; the report carries findings + metrics. */
 LintReport runLint(const LintInput &in);
 
+/** A `trace.threads` error when @p declared (0 = none) is not the
+ *  thread count of @p trace. */
+void checkDeclaredThreads(const DecodedTrace &trace, unsigned declared,
+                          LintReport &report);
+
 /**
- * Lint a finished CORD run: @p cord's order log (through its wire
+ * Lint a completed CORD run: @p cord's order log (through its wire
  * encoding, or in memory when it has none), @p trace of the same run,
  * and @p cord's online race report, audited under @p cord's
- * configuration.  @p numThreads is LintInput::numThreads (0 = derive
- * from the trace).
+ * configuration.
  */
-LintReport lintCordRun(const CordDetector &cord, const TraceRecorder &trace,
-                       unsigned numThreads = 0);
+LintReport lintCordRun(const CordDetector &cord, const DecodedTrace &trace);
 
 } // namespace cord
 

@@ -48,9 +48,10 @@ struct EndpointSnap
  * of each requested race, then turn that into per-thread cutoffs.
  */
 std::vector<RaceWitness>
-buildWitnesses(const DecodedTrace &trace, unsigned n,
+buildWitnesses(const DecodedTrace &trace,
                const std::vector<WitnessReq> &reqs)
 {
+    const unsigned n = trace.threads();
     std::vector<VectorClock> vc;
     vc.reserve(n);
     for (ThreadId t = 0; t < n; ++t) {
@@ -134,11 +135,10 @@ buildWitnesses(const DecodedTrace &trace, unsigned n,
 
 PredictiveAnalysis
 PredictiveAnalysis::analyze(const DecodedTrace &trace,
-                            unsigned numThreads,
                             const PredictOptions &opt)
 {
     PredictiveAnalysis a;
-    a.numThreads_ = HbAnalysis::resolveThreads(trace, numThreads);
+    a.numThreads_ = trace.threads();
     if (a.numThreads_ == 0)
         return a;
 
@@ -146,7 +146,7 @@ PredictiveAnalysis::analyze(const DecodedTrace &trace,
     // carries only a snapshot of its *last* writer's clock, not the
     // join of every writer so far.
     EngineRaces r = engineRaces<SyncOrder::LastWriter>(
-        trace, a.numThreads_, [&](const MemEvent &ev) {
+        trace, [&](const MemEvent &ev) {
             const bool kept =
                 predictSampled(wordAddr(ev.addr), opt.sampleRate);
             ++(kept ? a.accessesAnalyzed_ : a.accessesSkipped_);
@@ -165,7 +165,7 @@ PredictiveAnalysis::analyze(const DecodedTrace &trace,
     a.races_ = std::move(r.races);
     a.racyWords_ = std::move(r.racyWords);
     if (!reqs.empty())
-        a.witnesses_ = buildWitnesses(trace, a.numThreads_, reqs);
+        a.witnesses_ = buildWitnesses(trace, reqs);
     return a;
 }
 
@@ -222,13 +222,13 @@ verifyWitness(const DecodedTrace &trace, const RaceWitness &w)
 
 bool
 predictInputsValid(const std::vector<std::uint8_t> &wireLog,
-                   const DecodedTrace &trace, unsigned numThreads,
-                   Ts64 initialClock, LintReport &report)
+                   const DecodedTrace &trace, Ts64 initialClock,
+                   LintReport &report)
 {
     const std::size_t errorsBefore = report.errors();
     LogCheckOptions opt;
     opt.initialClock = initialClock;
-    opt.numThreads = numThreads;
+    opt.numThreads = trace.threads();
     std::optional<OrderLog> log = checkWireLog(wireLog, opt, report);
     if (log) {
         checkLogWellFormed(*log, opt, report);

@@ -91,9 +91,8 @@ struct RaceWitness
 class PredictiveAnalysis
 {
   public:
-    /** Same thread-count contract as HbAnalysis::analyze. */
+    /** Predict the races of a trace of trace.threads() threads. */
     static PredictiveAnalysis analyze(const DecodedTrace &trace,
-                                      unsigned numThreads = 0,
                                       const PredictOptions &opt = {});
 
     unsigned numThreads() const { return numThreads_; }
@@ -144,8 +143,8 @@ bool verifyWitness(const DecodedTrace &trace, const RaceWitness &w);
  * may proceed; all findings land in @p report.
  */
 bool predictInputsValid(const std::vector<std::uint8_t> &wireLog,
-                        const DecodedTrace &trace, unsigned numThreads,
-                        Ts64 initialClock, LintReport &report);
+                        const DecodedTrace &trace, Ts64 initialClock,
+                        LintReport &report);
 
 /** Render a finished prediction into lint findings and metrics. */
 void reportPrediction(const PredictiveAnalysis &pred, LintReport &report);

@@ -118,8 +118,8 @@ runXval(const XvalSpec &spec)
     const ScheduleRun &base = ex.runs.front();
     r.baselineCompleted = base.completed && base.trace != nullptr;
     if (r.baselineCompleted) {
-        const PredictiveAnalysis pred = PredictiveAnalysis::analyze(
-            *base.trace, es.params.numThreads, spec.predict);
+        const PredictiveAnalysis pred =
+            PredictiveAnalysis::analyze(*base.trace, spec.predict);
         r.predictedPairs = pred.pairs();
         r.predictedWords = pred.racyWords();
     }

@@ -107,35 +107,6 @@ encodeOrderLog(const OrderLog &log)
     return out;
 }
 
-OrderLog
-decodeOrderLog(const std::vector<std::uint8_t> &bytes, Ts64 initialClock)
-{
-    cord_assert(bytes.size() % OrderLog::kEntryWireBytes == 0,
-                "wire log size must be a multiple of 8 bytes");
-    OrderLog log;
-    // Last reconstructed clock per thread; threads start at the
-    // initial clock, so the first entry reconstructs relative to it.
-    std::unordered_map<ThreadId, Ts64> last;
-    for (std::size_t off = 0; off < bytes.size();
-         off += OrderLog::kEntryWireBytes) {
-        const ThreadId tid = static_cast<ThreadId>(get16(bytes, off));
-        const Ts16 wire = get16(bytes, off + 2);
-        const std::uint32_t instrs = get32(bytes, off + 4);
-
-        auto [it, first] = last.try_emplace(tid, initialClock);
-        const Ts64 prev = it->second;
-        // The true clock is the smallest value >= prev whose low 16
-        // bits equal the wire clock (clocks never decrease, and jumps
-        // are bounded below the window).
-        Ts64 clock = (prev & ~static_cast<Ts64>(0xffff)) | wire;
-        if (clock < prev)
-            clock += 1ULL << 16;
-        it->second = clock;
-        log.append(tid, clock, instrs);
-    }
-    return log;
-}
-
 LenientDecode
 decodeOrderLogLenient(const std::vector<std::uint8_t> &bytes,
                       Ts64 initialClock)
@@ -150,6 +121,8 @@ decodeOrderLogLenient(const std::vector<std::uint8_t> &bytes,
         out.problems.push_back(os.str());
     }
     const std::size_t wholeBytes = bytes.size() - out.trailingBytes;
+    // Last reconstructed clock per thread; threads start at the
+    // initial clock, so the first entry reconstructs relative to it.
     std::unordered_map<ThreadId, Ts64> last;
     std::size_t index = 0;
     for (std::size_t off = 0; off < wholeBytes;
@@ -160,6 +133,9 @@ decodeOrderLogLenient(const std::vector<std::uint8_t> &bytes,
 
         auto [it, first] = last.try_emplace(tid, initialClock);
         const Ts64 prev = it->second;
+        // The true clock is the smallest value >= prev whose low 16
+        // bits equal the wire clock (clocks never decrease, and jumps
+        // are bounded below the window).
         Ts64 clock = (prev & ~static_cast<Ts64>(0xffff)) | wire;
         if (clock < prev)
             clock += 1ULL << 16;

@@ -1,5 +1,7 @@
 #include "cord/vc_detector.h"
 
+#include <iterator>
+
 #include "sim/logging.h"
 
 namespace cord
@@ -12,8 +14,6 @@ VcDetector::VcDetector(const VcConfig &cfg, std::string name)
 {
     cord_assert(cfg_.numCores > 0 && cfg_.numThreads > 0,
                 "VC detector needs at least one core and one thread");
-    cord_assert(cfg_.entriesPerLine >= 1 && cfg_.entriesPerLine <= 2,
-                "one or two timestamps per line");
     vc_.reserve(cfg_.numThreads);
     for (ThreadId t = 0; t < cfg_.numThreads; ++t) {
         vc_.emplace_back(cfg_.numThreads);
@@ -29,7 +29,7 @@ VcDetector::VcDetector(const VcConfig &cfg, std::string name)
 void
 VcDetector::foldIntoMemVc(const Entry &e)
 {
-    if (!cfg_.memTimestamps || !e.valid)
+    if (!e.valid)
         return;
     if (e.readBits)
         memReadVc_.join(e.vc);
@@ -57,15 +57,15 @@ VcDetector::timestampLocal(CoreId core, Addr addr, LineState *local,
                                     lineDisplacements_.inc();
                                 });
     Entry *slot = nullptr;
-    for (unsigned i = 0; i < cfg_.entriesPerLine; ++i) {
-        if (ls.e[i].valid && ls.e[i].vc == tvc) {
-            slot = &ls.e[i];
+    for (Entry &e : ls.e) {
+        if (e.valid && e.vc == tvc) {
+            slot = &e;
             break;
         }
     }
     if (!slot) {
         unsigned victim = 0;
-        for (unsigned i = 1; i < cfg_.entriesPerLine; ++i) {
+        for (unsigned i = 1; i < std::size(ls.e); ++i) {
             if (!ls.e[victim].valid)
                 break;
             if (!ls.e[i].valid || ls.e[i].seq < ls.e[victim].seq)
@@ -140,7 +140,7 @@ VcDetector::onAccess(const MemEvent &ev)
 
     // Line supplied by memory: consult the memory vector timestamps,
     // never reporting races found this way.
-    if (!local && !anyRemoteLine && cfg_.memTimestamps) {
+    if (!local && !anyRemoteLine) {
         if (!memWriteVc_.lessEq(tvc)) {
             tvc.join(memWriteVc_);
             memVcJoins_.inc();

@@ -42,11 +42,6 @@ struct VcConfig
     bool infiniteResidency = false;
     CacheGeometry residency = CacheGeometry::paperL2();
 
-    unsigned entriesPerLine = 2;
-
-    /** Vector analog of the main-memory timestamps. */
-    bool memTimestamps = true;
-
     /** Derive geometry from the machine (the single source of truth,
      *  mirroring CordConfig::deriveGeometry). */
     void
@@ -94,6 +89,7 @@ class VcDetector : public Detector
         bool valid = false;
     };
 
+    /** Two timestamps per line, as CORD keeps. */
     struct LineState
     {
         Entry e[2];

@@ -24,7 +24,7 @@ runWorkload(const RunSetup &setup)
     // simulator (a spinner forever probing while a peer's fixed-length
     // cycle holds the lock); they opt into jittered spin retries.
     const bool jitterSpin = workload->meta().family == "server";
-    SyncRuntime rt(setup.filter, 40, jitterSpin);
+    SyncRuntime rt(setup.filter, jitterSpin);
 
     // Thread contexts must outlive the simulation (coroutine frames
     // reference them).

@@ -56,15 +56,15 @@ getRaw(const std::vector<std::uint8_t> &in, std::size_t &off)
 } // namespace
 
 std::vector<std::uint8_t>
-encodeTrace(const TraceRecorder &trace)
+encodeTrace(const DecodedTrace &trace)
 {
     std::vector<std::uint8_t> out;
-    out.reserve(32 + trace.events().size() * sizeof(WireEvent));
+    out.reserve(32 + trace.events.size() * sizeof(WireEvent));
     putRaw(out, kMagic);
     putRaw(out, kVersion);
-    putRaw(out, static_cast<std::uint64_t>(trace.events().size()));
-    putRaw(out, static_cast<std::uint64_t>(trace.threadEnds().size()));
-    for (const MemEvent &ev : trace.events()) {
+    putRaw(out, static_cast<std::uint64_t>(trace.events.size()));
+    putRaw(out, static_cast<std::uint64_t>(trace.threadEnds.size()));
+    for (const MemEvent &ev : trace.events) {
         WireEvent w{};
         w.tick = ev.tick;
         w.addr = ev.addr;
@@ -75,47 +75,89 @@ encodeTrace(const TraceRecorder &trace)
         w.kind = static_cast<std::uint8_t>(ev.kind);
         putRaw(out, w);
     }
-    for (const auto &[tid, instrs] : trace.threadEnds()) {
+    for (const auto &[tid, instrs] : trace.threadEnds) {
         putRaw(out, static_cast<std::uint16_t>(tid));
         putRaw(out, static_cast<std::uint64_t>(instrs));
     }
     return out;
 }
 
-DecodedTrace
-decodeTrace(const std::vector<std::uint8_t> &bytes)
+bool
+decodeTrace(const std::vector<std::uint8_t> &bytes, DecodedTrace &out,
+            std::string &err)
 {
+    auto refuse = [&](const auto &...parts) {
+        err = detail::format(parts...);
+        return false;
+    };
     if (bytes.size() < kHeaderBytes)
-        cord_fatal("truncated trace: ", bytes.size(),
-                   " byte(s), the header alone is ", kHeaderBytes);
+        return refuse("truncated trace: ", bytes.size(),
+                      " byte(s), the header alone is ", kHeaderBytes);
     std::size_t off = 0;
     const auto magic = getRaw<std::uint32_t>(bytes, off);
     const auto version = getRaw<std::uint32_t>(bytes, off);
     if (magic != kMagic)
-        cord_fatal("not a CORD trace (bad magic)");
+        return refuse("not a CORD trace (bad magic)");
     if (version != kVersion)
-        cord_fatal("unsupported trace version ", version);
+        return refuse("unsupported trace version ", version);
     const auto nEvents = getRaw<std::uint64_t>(bytes, off);
     const auto nEnds = getRaw<std::uint64_t>(bytes, off);
     // The counts must account for every byte after the header exactly;
     // divide rather than multiply so a huge count cannot overflow.
     const std::uint64_t payload = bytes.size() - kHeaderBytes;
     if (nEvents > payload / sizeof(WireEvent))
-        cord_fatal("truncated trace: header claims ", nEvents,
-                   " events, but only ", payload, " bytes follow it");
+        return refuse("truncated trace: header claims ", nEvents,
+                      " events, but only ", payload, " bytes follow it");
     const std::uint64_t endBytes = payload - nEvents * sizeof(WireEvent);
     if (nEnds > endBytes / kThreadEndBytes)
-        cord_fatal("truncated trace: header claims ", nEnds,
-                   " thread ends, but only ", endBytes,
-                   " bytes follow the events");
+        return refuse("truncated trace: header claims ", nEnds,
+                      " thread ends, but only ", endBytes,
+                      " bytes follow the events");
     if (endBytes != nEnds * kThreadEndBytes)
-        cord_fatal("corrupt trace: ", endBytes - nEnds * kThreadEndBytes,
-                   " trailing byte(s) after the last record");
+        return refuse("corrupt trace: ",
+                      endBytes - nEnds * kThreadEndBytes,
+                      " trailing byte(s) after the last record");
+    // No run has this many threads; sizing per-thread state by such a
+    // count would exhaust memory or abort.
+    if (nEnds > kMaxThreads)
+        return refuse("corrupt trace: ", nEnds,
+                      " thread ends (a run has at most ", kMaxThreads,
+                      " threads)");
 
-    DecodedTrace out;
+    // The thread ends come last but say how many threads ran: they
+    // must name threads 0..n-1 exactly once each.
+    const auto n = static_cast<unsigned>(nEnds);
+    out.threadEnds.clear();
+    out.threadEnds.reserve(n);
+    std::vector<bool> ended(n, false);
+    std::size_t endOff = kHeaderBytes + nEvents * sizeof(WireEvent);
+    for (unsigned i = 0; i < n; ++i) {
+        const auto tid = getRaw<std::uint16_t>(bytes, endOff);
+        const auto instrs = getRaw<std::uint64_t>(bytes, endOff);
+        if (tid >= n)
+            return refuse("corrupt trace: thread end ", i,
+                          " names thread ", tid, " of a ", n,
+                          "-thread trace");
+        if (ended[tid])
+            return refuse("corrupt trace: thread ", tid, " ends twice");
+        ended[tid] = true;
+        out.threadEnds.emplace_back(tid, instrs);
+    }
+
+    out.events.clear();
     out.events.reserve(nEvents);
     for (std::uint64_t i = 0; i < nEvents; ++i) {
         const auto w = getRaw<WireEvent>(bytes, off);
+        if (w.tid >= n)
+            return refuse("corrupt trace: event ", i, " names thread ",
+                          w.tid, " of a ", n, "-thread trace");
+        // Per-core state is sized by the largest core ID.
+        if (w.core >= kMaxCores)
+            return refuse("corrupt trace: event ", i, " runs on core ",
+                          w.core, " (a run has at most ", kMaxCores,
+                          " cores)");
+        if (w.kind > static_cast<std::uint8_t>(AccessKind::SyncWrite))
+            return refuse("corrupt trace: bad access kind ", w.kind);
         MemEvent ev;
         ev.tick = w.tick;
         ev.addr = w.addr;
@@ -123,32 +165,24 @@ decodeTrace(const std::vector<std::uint8_t> &bytes)
         ev.value = w.value;
         ev.tid = w.tid;
         ev.core = w.core;
-        // No run has this many threads or cores; sizing per-thread or
-        // per-core state by such an ID would exhaust memory or abort.
-        if (w.tid >= kMaxThreads || w.core >= kMaxCores)
-            cord_fatal("corrupt trace: event ", i, " names thread ", w.tid,
-                       " on core ", w.core, " (a run has at most ",
-                       kMaxThreads, " threads and ", kMaxCores, " cores)");
-        if (w.kind > static_cast<std::uint8_t>(AccessKind::SyncWrite))
-            cord_fatal("corrupt trace: bad access kind ", w.kind);
         ev.kind = static_cast<AccessKind>(w.kind);
         out.events.push_back(ev);
     }
-    for (std::uint64_t i = 0; i < nEnds; ++i) {
-        const auto tid = getRaw<std::uint16_t>(bytes, off);
-        const auto instrs = getRaw<std::uint64_t>(bytes, off);
-        if (tid >= kMaxThreads)
-            cord_fatal("corrupt trace: thread end ", i, " names thread ",
-                       tid, " (a run has at most ", kMaxThreads,
-                       " threads)");
-        out.threadEnds.emplace_back(tid, instrs);
-    }
-    cord_assert(off == bytes.size(), "trailing bytes in trace buffer");
+    return true;
+}
+
+DecodedTrace
+decodeTrace(const std::vector<std::uint8_t> &bytes)
+{
+    DecodedTrace out;
+    std::string err;
+    if (!decodeTrace(bytes, out, err))
+        cord_fatal(err);
     return out;
 }
 
 void
-saveTrace(const TraceRecorder &trace, const std::string &path)
+saveTrace(const DecodedTrace &trace, const std::string &path)
 {
     const std::vector<std::uint8_t> bytes = encodeTrace(trace);
     std::FILE *f = std::fopen(path.c_str(), "wb");
@@ -161,14 +195,11 @@ saveTrace(const TraceRecorder &trace, const std::string &path)
         cord_fatal("short write to '", path, "'");
 }
 
-DecodedTrace
-loadTrace(const std::string &path)
+bool
+loadTrace(const std::string &path, DecodedTrace &out, std::string &err)
 {
     std::vector<std::uint8_t> bytes;
-    std::string err;
-    if (!readFileBytes(path, bytes, err))
-        cord_fatal(err);
-    return decodeTrace(bytes);
+    return readFileBytes(path, bytes, err) && decodeTrace(bytes, out, err);
 }
 
 void

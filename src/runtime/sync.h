@@ -90,11 +90,13 @@ class SyncRuntime
   public:
     static constexpr std::uint64_t kLockFree = 0;
 
+    /** Ticks a spinner waits before its next probe (the base delay,
+     *  before any jitter). */
+    static constexpr std::uint32_t kSpinBackoff = 40;
+
     explicit SyncRuntime(SyncInstanceFilter *filter = nullptr,
-                         std::uint32_t spinBackoff = 40,
                          bool jitterSpin = false)
-        : filter_(filter), spinBackoff_(spinBackoff),
-          jitterSpin_(jitterSpin)
+        : filter_(filter), jitterSpin_(jitterSpin)
     {
     }
 
@@ -110,9 +112,9 @@ class SyncRuntime
     spinDelay(ThreadCtx &t)
     {
         if (!jitterSpin_)
-            return spinBackoff_;
-        return spinBackoff_ +
-               static_cast<std::uint32_t>(t.rng.below(spinBackoff_));
+            return kSpinBackoff;
+        return kSpinBackoff +
+               static_cast<std::uint32_t>(t.rng.below(kSpinBackoff));
     }
 
     /** Allocate a barrier's variables from @p as. */
@@ -361,7 +363,6 @@ class SyncRuntime
     }
 
     SyncInstanceFilter *filter_;
-    std::uint32_t spinBackoff_;
     bool jitterSpin_ = false;
     std::vector<std::uint64_t> perThread_;
     std::uint64_t lockInstances_ = 0;

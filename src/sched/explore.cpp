@@ -72,12 +72,8 @@ runOneSchedule(const ExploreSpec &spec, unsigned index,
     r.idealRacyWords.assign(ideal.races().words().begin(),
                             ideal.races().words().end());
     r.readChecksums = out.readChecksums;
-    if (spec.recordTrace) {
-        auto trace = std::make_shared<DecodedTrace>();
-        trace->events = recorder.events();
-        trace->threadEnds = recorder.threadEnds();
-        r.trace = std::move(trace);
-    }
+    if (spec.recordTrace)
+        r.trace = std::make_shared<DecodedTrace>(recorder.trace());
     return r;
 }
 

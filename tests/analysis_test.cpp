@@ -68,8 +68,7 @@ record(const std::string &workload, std::uint64_t seed,
     if (!out.completed)
         return rec;
     rec.wireLog = encodeOrderLog(cord.orderLog());
-    rec.trace.events = trace.events();
-    rec.trace.threadEnds = trace.threadEnds();
+    rec.trace = trace.trace();
     for (const RaceRecord &r : cord.races().samples())
         rec.cordReport.record(r);
     rec.cordPairs = cord.races().pairs();
@@ -156,9 +155,14 @@ expectIdealMatchesReference(RunSetup setup, const std::string &what)
     ReferenceRun run;
     run.outcome = runWorkload(setup);
 
-    DecodedTrace t;
-    t.events = trace.events();
-    t.threadEnds = trace.threadEnds();
+    // A hung run never ends some of its threads; close its trace with
+    // their end records, as a completed run's would have.
+    DecodedTrace t = trace.trace();
+    for (ThreadId tid = 0; tid < setup.params.numThreads; ++tid) {
+        if (std::none_of(t.threadEnds.begin(), t.threadEnds.end(),
+                         [&](const auto &end) { return end.first == tid; }))
+            t.threadEnds.emplace_back(tid, 0);
+    }
     const HbAnalysis hb = HbAnalysis::analyze(t, setup.params.numThreads);
     EXPECT_EQ(ideal.races().pairs(), hb.pairs()) << what;
     EXPECT_EQ(ideal.races().words(), hb.racyWords()) << what;
@@ -309,9 +313,7 @@ TEST(Auditor, OfflineCheckCoversEveryReport)
     ASSERT_TRUE(runWorkload(setup).completed);
     ASSERT_GT(cord.races().pairs(), cord.races().samples().size());
 
-    DecodedTrace t;
-    t.events = trace.events();
-    t.threadEnds = trace.threadEnds();
+    const DecodedTrace &t = trace.trace();
     LintReport report;
     auditCoverage(t, HbAnalysis::analyze(t), cfg, report);
     EXPECT_EQ(report.metrics().at("audit.cordPairs"),
@@ -486,7 +488,7 @@ TEST(Lint, CordRunWithoutWireFormReportsWindow)
     ASSERT_TRUE(runWorkload(setup).completed);
     ASSERT_FALSE(isWireEncodable(cord.orderLog()));
 
-    const LintReport report = lintCordRun(cord, trace);
+    const LintReport report = lintCordRun(cord, trace.trace());
     EXPECT_GE(report.errors(), 1u);
     EXPECT_NE(report.renderText().find("[error] log.window"),
               std::string::npos)
@@ -534,7 +536,8 @@ TEST(LintGolden, ReportsAreStable)
         in.audit = false;
         reports.emplace_back("fft-no-audit", runLint(in));
     }
-    reports.emplace_back("cholesky-inject", lintCordRun(cord, trace));
+    reports.emplace_back("cholesky-inject",
+                         lintCordRun(cord, trace.trace()));
     {
         LintInput in;
         in.wireLog = &fft.wireLog;

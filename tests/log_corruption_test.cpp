@@ -43,8 +43,7 @@ fftArtifacts()
         cord_assert(out.completed, "fft recording did not complete");
         Artifacts a;
         a.wireLog = encodeOrderLog(cord.orderLog());
-        a.trace.events = trace.events();
-        a.trace.threadEnds = trace.threadEnds();
+        a.trace = trace.trace();
         return a;
     }();
     return art;

@@ -15,6 +15,7 @@
 #include "analysis/epoch_analyzer.h"
 #include "analysis/findings.h"
 #include "analysis/hb_analyzer.h"
+#include "analysis/lint.h"
 #include "analysis/predict.h"
 #include "analysis/xval.h"
 #include "cord/cord_detector.h"
@@ -76,8 +77,7 @@ record(const std::string &workload, std::uint64_t seed, unsigned scale,
     if (!out.completed)
         return rec;
     rec.wireLog = encodeOrderLog(cord.orderLog());
-    rec.trace.events = trace.events();
-    rec.trace.threadEnds = trace.threadEnds();
+    rec.trace = trace.trace();
     return rec;
 }
 
@@ -113,8 +113,7 @@ manyThreadRecording()
 
     Recording rec;
     rec.completed = runWorkload(setup).completed;
-    rec.trace.events = trace.events();
-    rec.trace.threadEnds = trace.threadEnds();
+    rec.trace = trace.trace();
     return rec;
 }
 
@@ -239,7 +238,7 @@ TEST(PredictGolden, RacesAndWitnessesAreStable)
             PredictOptions opt;
             opt.sampleRate = rate;
             const PredictiveAnalysis p =
-                PredictiveAnalysis::analyze(in.trace, 0, opt);
+                PredictiveAnalysis::analyze(in.trace, opt);
             if (std::string(in.name) == "barnes-known" && rate == 1) {
                 EXPECT_EQ(p.pairs(), 3420u);
             }
@@ -302,7 +301,7 @@ TEST(PredictSuperset, WeakOrderSeesBeyondHappensBefore)
     const HbAnalysis hb = HbAnalysis::analyze(t, 3);
     EXPECT_EQ(hb.pairs(), 0u);
 
-    const PredictiveAnalysis pred = PredictiveAnalysis::analyze(t, 3);
+    const PredictiveAnalysis pred = PredictiveAnalysis::analyze(t);
     ASSERT_EQ(pred.pairs(), 1u);
     const PredictedRace &r = pred.races()[0];
     EXPECT_EQ(r.word, 0x1000u);
@@ -338,19 +337,31 @@ TEST(EpochCompression, FieldIdenticalToFullVectors)
     }
 }
 
-TEST(EpochCompression, DerivesThreadsBeyondDeclaredCount)
+TEST(EpochCompression, RefusesThreadsBeyondDeclaredCount)
 {
-    // Satellite: a trace using thread IDs past the declared count must
-    // be analyzed with the derived count, not indexed out of range.
-    DecodedTrace t = wBeyondHbTrace();
-    const HbAnalysis hb = HbAnalysis::analyze(t, 1);
-    EXPECT_EQ(hb.numThreads(), 3u);
-    EXPECT_EQ(hb.declaredThreads(), 1u);
-    EXPECT_TRUE(hb.threadCountOverridden());
+    // A trace using thread IDs past its declared count is refused, not
+    // analyzed: as a file that ends one thread of three, and against a
+    // declared count of 1.
+    DecodedTrace oneEnd = wBeyondHbTrace();
+    oneEnd.threadEnds.resize(1);
+    DecodedTrace decoded;
+    std::string err;
+    EXPECT_FALSE(decodeTrace(encodeTrace(oneEnd), decoded, err));
+    EXPECT_NE(err.find("event 2 names thread 1 of a 1-thread trace"),
+              std::string::npos)
+        << err;
 
-    const HbAnalysis epoch = analyzeEpochCompressed(t, 1);
-    EXPECT_EQ(epoch.numThreads(), 3u);
-    EXPECT_TRUE(epoch.threadCountOverridden());
+    const DecodedTrace t = wBeyondHbTrace();
+    LintInput in;
+    in.trace = &t;
+    in.numThreads = 1;
+    const LintReport report = runLint(in);
+    EXPECT_EQ(report.errors(), 1u) << report.renderText();
+    EXPECT_NE(report.renderText().find(
+                  "[error] trace.threads: 1 threads declared, but the "
+                  "trace ends 3"),
+              std::string::npos)
+        << report.renderText();
 }
 
 TEST(PredictWitness, AllMaterializedWitnessesVerify)
@@ -383,15 +394,15 @@ TEST(PredictSampling, DeterministicAndAccounted)
 
     PredictOptions all;
     const PredictiveAnalysis full =
-        PredictiveAnalysis::analyze(rec.trace, 0, all);
+        PredictiveAnalysis::analyze(rec.trace, all);
     EXPECT_EQ(full.accessesSkipped(), 0u);
 
     PredictOptions sampled;
     sampled.sampleRate = 8;
     const PredictiveAnalysis a =
-        PredictiveAnalysis::analyze(rec.trace, 0, sampled);
+        PredictiveAnalysis::analyze(rec.trace, sampled);
     const PredictiveAnalysis b =
-        PredictiveAnalysis::analyze(rec.trace, 0, sampled);
+        PredictiveAnalysis::analyze(rec.trace, sampled);
     EXPECT_GT(a.accessesSkipped(), 0u);
     EXPECT_LT(a.accessesAnalyzed(), full.accessesAnalyzed());
     EXPECT_EQ(a.accessesAnalyzed(), b.accessesAnalyzed());
@@ -414,8 +425,7 @@ TEST(PredictGate, EveryCorruptionKindRejected)
 
     {
         LintReport report;
-        EXPECT_TRUE(predictInputsValid(rec.wireLog, rec.trace, 0, 1,
-                                       report));
+        EXPECT_TRUE(predictInputsValid(rec.wireLog, rec.trace, 1, report));
         EXPECT_EQ(report.errors(), 0u);
     }
 
@@ -431,7 +441,7 @@ TEST(PredictGate, EveryCorruptionKindRejected)
                 continue;
             LintReport report;
             const bool ok =
-                predictInputsValid(bytes, rec.trace, 0, 1, report);
+                predictInputsValid(bytes, rec.trace, 1, report);
             EXPECT_FALSE(ok) << out.description;
             EXPECT_GT(report.errors(), 0u) << out.description;
             rejectedOnce = true;

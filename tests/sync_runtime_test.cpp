@@ -351,7 +351,7 @@ TEST(SyncRuntime, JitteredSpinPreservesMutualExclusion)
     // deterministic phase-lock); jitter must not affect correctness.
     AddressSpace as;
     MachineConfig machine;
-    SyncRuntime rt(nullptr, 40, /*jitterSpin=*/true);
+    SyncRuntime rt(nullptr, /*jitterSpin=*/true);
     std::vector<std::unique_ptr<ThreadCtx>> ctxs;
     for (unsigned t = 0; t < 4; ++t) {
         ctxs.push_back(std::make_unique<ThreadCtx>());

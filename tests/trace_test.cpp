@@ -48,9 +48,11 @@ TEST(Trace, EncodeDecodeRoundTrip)
     ev.tick = 6;
     ev.kind = AccessKind::DataRead;
     rec.onAccess(ev);
+    rec.onThreadEnd(0, 0);
     rec.onThreadEnd(2, 100);
+    rec.onThreadEnd(1, 0);
 
-    const DecodedTrace dec = decodeTrace(encodeTrace(rec));
+    const DecodedTrace dec = decodeTrace(encodeTrace(rec.trace()));
     ASSERT_EQ(dec.events.size(), 2u);
     EXPECT_EQ(dec.events[0].tick, 5u);
     EXPECT_EQ(dec.events[0].tid, 2);
@@ -60,19 +62,22 @@ TEST(Trace, EncodeDecodeRoundTrip)
     EXPECT_EQ(dec.events[0].instrCount, 99u);
     EXPECT_EQ(dec.events[0].value, 0xdeadbeefu);
     EXPECT_EQ(dec.events[1].kind, AccessKind::DataRead);
-    ASSERT_EQ(dec.threadEnds.size(), 1u);
-    EXPECT_EQ(dec.threadEnds[0].first, 2);
-    EXPECT_EQ(dec.threadEnds[0].second, 100u);
+    ASSERT_EQ(dec.threadEnds.size(), 3u);
+    EXPECT_EQ(dec.threads(), 3u);
+    EXPECT_EQ(dec.threadEnds[1].first, 2);
+    EXPECT_EQ(dec.threadEnds[1].second, 100u);
 }
 
 TEST(Trace, CorruptBufferIsFatal)
 {
-    // A valid one-event trace with no thread ends: 24-byte header plus
-    // one 40-byte record.
+    // A valid one-thread, one-event trace: 24-byte header, one 40-byte
+    // record and one 10-byte thread end.
     TraceRecorder rec;
     rec.onAccess(MemEvent{});
-    const std::vector<std::uint8_t> good = encodeTrace(rec);
-    ASSERT_EQ(good.size(), 64u);
+    rec.onThreadEnd(0, 1);
+    const std::vector<std::uint8_t> good = encodeTrace(rec.trace());
+    ASSERT_EQ(good.size(), 74u);
+    ASSERT_EQ(decodeTrace(good).threads(), 1u);
 
     std::vector<std::uint8_t> hugeCount(good.begin(), good.begin() + 24);
     const std::uint64_t claimed = std::uint64_t{1} << 60;
@@ -85,9 +90,30 @@ TEST(Trace, CorruptBufferIsFatal)
     badTid[24 + 33] = 0x04; // thread 1024
     std::vector<std::uint8_t> badCore = good;
     badCore[24 + 35] = 0xff; // core 65280
-    rec.onThreadEnd(0, 1);
-    std::vector<std::uint8_t> badEnd = encodeTrace(rec);
+    std::vector<std::uint8_t> badEnd = good;
     badEnd[64 + 1] = 0x80; // thread 32768
+
+    // A trace's threads are its thread ends: they must name threads
+    // 0..n-1 exactly once each, and no access may name a thread >= n.
+    // Four threads, two accesses each (records 0-7), thread 0's at
+    // records 0 and 5.
+    auto fourThreads = [](std::vector<ThreadId> ends) {
+        TraceRecorder r;
+        for (unsigned i = 0; i < 8; ++i) {
+            MemEvent ev;
+            ev.tick = i;
+            ev.tid = static_cast<ThreadId>(i == 5 ? 0 : i % 4);
+            ev.core = ev.tid;
+            r.onAccess(ev);
+        }
+        for (ThreadId tid : ends)
+            r.onThreadEnd(tid, 2);
+        return encodeTrace(r.trace());
+    };
+    ASSERT_EQ(decodeTrace(fourThreads({3, 1, 0, 2})).threads(), 4u);
+    // Low byte of record 5's thread ID: thread 0 becomes 255.
+    std::vector<std::uint8_t> flippedTid = fourThreads({0, 1, 2, 3});
+    flippedTid[24 + 40 * 5 + 32] ^= 0xff;
 
     const struct
     {
@@ -107,14 +133,24 @@ TEST(Trace, CorruptBufferIsFatal)
         {"thread ID", badTid, "names thread 1024"},
         {"core ID", badCore, "on core 65280"},
         {"thread-end ID", badEnd, "thread end 0 names thread 32768"},
+        {"access beyond the thread ends", flippedTid,
+         "event 5 names thread 255 of a 4-thread trace"},
+        {"missing thread end", fourThreads({0, 1, 2}),
+         "event 3 names thread 3 of a 3-thread trace"},
+        {"duplicated thread end", fourThreads({0, 1, 1, 3}),
+         "thread 1 ends twice"},
+        {"thread end naming thread n", fourThreads({0, 1, 2, 4}),
+         "thread end 3 names thread 4 of a 4-thread trace"},
     };
     for (const auto &c : cases) {
         SCOPED_TRACE(c.name);
         EXPECT_EXIT(decodeTrace(c.bytes), ::testing::ExitedWithCode(1),
                     c.message);
     }
-    EXPECT_EXIT(loadTrace(::testing::TempDir()),
-                ::testing::ExitedWithCode(1), "cannot read");
+    DecodedTrace loaded;
+    std::string err;
+    EXPECT_FALSE(loadTrace(::testing::TempDir(), loaded, err));
+    EXPECT_NE(err.find("cannot read"), std::string::npos) << err;
 }
 
 TEST(Trace, OfflineDetectionMatchesOnline)
@@ -137,7 +173,7 @@ TEST(Trace, OfflineDetectionMatchesOnline)
     const RunOutcome out = runWorkload(run);
     ASSERT_TRUE(out.completed);
 
-    const DecodedTrace dec = decodeTrace(encodeTrace(trace));
+    const DecodedTrace dec = decodeTrace(encodeTrace(trace.trace()));
     EXPECT_EQ(dec.events.size(), out.accesses);
 
     CordDetector offlineCord(cc);
@@ -167,9 +203,12 @@ TEST(Trace, FileRoundTrip)
         ev.instrCount = i + 1;
         rec.onAccess(ev);
     }
+    rec.onThreadEnd(0, 100);
     const std::string path = ::testing::TempDir() + "/cord_trace.bin";
-    saveTrace(rec, path);
-    const DecodedTrace dec = loadTrace(path);
+    saveTrace(rec.trace(), path);
+    DecodedTrace dec;
+    std::string err;
+    ASSERT_TRUE(loadTrace(path, dec, err)) << err;
     EXPECT_EQ(dec.events.size(), 100u);
     EXPECT_EQ(dec.events[99].tick, 99u);
     std::remove(path.c_str());
@@ -222,8 +261,7 @@ lintChild(const std::string &log, const std::string &trace)
  * checkLogWellFormed and checkReplayFeasible): bit flips, truncation,
  * splices and inflated counts, plus a flipped high byte of a record's
  * thread and core ID.  cordlint must end every mutant with exit 0
- * (clean), 1 (findings, or a refused input) or 2 (usage), never with a
- * signal.
+ * (clean), 1 (findings) or 2 (a refused trace), never with a signal.
  */
 TEST(CordlintInputMutation, EveryMutantExitsWithAStatus)
 {
@@ -238,7 +276,7 @@ TEST(CordlintInputMutation, EveryMutantExitsWithAStatus)
     const std::string dir = ::testing::TempDir();
     const std::string tracePath = dir + "/cord_mutant.trace";
     const std::string logPath = dir + "/cord_mutant.ordlog";
-    const std::vector<std::uint8_t> baseTrace = encodeTrace(trace);
+    const std::vector<std::uint8_t> baseTrace = encodeTrace(trace.trace());
     const std::vector<std::uint8_t> baseLog = encodeOrderLog(cord.orderLog());
     ASSERT_GT(baseTrace.size(), 24u + 40u * 8);
     ASSERT_GE(baseLog.size(), 8u * 8);
@@ -301,10 +339,54 @@ TEST(CordlintInputMutation, EveryMutantExitsWithAStatus)
             << "mutant " << i << " of the "
             << (mutateTrace ? "trace" : "order log") << " ended in "
             << (status < 0 ? "signal " : "exit ") << std::abs(status);
-        refused += status == 1;
+        refused += status == 1 || status == 2;
         writeBytes(mutateTrace ? tracePath : logPath, base);
     }
     EXPECT_GT(refused, 0u);
+    std::remove(tracePath.c_str());
+    std::remove(logPath.c_str());
+}
+
+/**
+ * The trace of `cordsim --workload fft --seed 11 --save-trace` with
+ * the low byte of record 5's thread ID flipped (thread 0 becomes 255,
+ * a thread that never ends): cordlint refuses it as a corrupt trace
+ * and exits 2 instead of analysing 256 threads.
+ */
+TEST(CordlintInputMutation, ThreadThatNeverEndsIsRefused)
+{
+    RunSetup run;
+    run.workload = "fft";
+    run.params.seed = 11;
+    TraceRecorder trace;
+    CordDetector cord(CordConfig::forMachine(run.machine, 4));
+    run.detectors = {&trace, &cord};
+    ASSERT_TRUE(runWorkload(run).completed);
+    ASSERT_EQ(trace.events()[5].tid, 0);
+
+    const std::string dir = ::testing::TempDir();
+    const std::string tracePath = dir + "/cord_thread255.trace";
+    const std::string logPath = dir + "/cord_thread255.ordlog";
+    std::vector<std::uint8_t> bytes = encodeTrace(trace.trace());
+    bytes[24 + 40 * 5 + 32] ^= 0xff;
+    writeBytes(tracePath, bytes);
+    writeBytes(logPath, encodeOrderLog(cord.orderLog()));
+
+    const std::string cmd = std::string(CORDLINT_BIN) + " --log " +
+                            logPath + " --trace " + tracePath + " 2>&1";
+    std::FILE *pipe = ::popen(cmd.c_str(), "r");
+    ASSERT_NE(pipe, nullptr);
+    std::string out;
+    char buf[256];
+    while (std::fgets(buf, sizeof buf, pipe))
+        out += buf;
+    const int status = ::pclose(pipe);
+    ASSERT_TRUE(WIFEXITED(status)) << out;
+    EXPECT_EQ(WEXITSTATUS(status), 2) << out;
+    EXPECT_NE(out.find("corrupt trace: event 5 names thread 255 of a "
+                       "4-thread trace"),
+              std::string::npos)
+        << out;
     std::remove(tracePath.c_str());
     std::remove(logPath.c_str());
 }

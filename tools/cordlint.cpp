@@ -21,10 +21,12 @@
  *     every racy word any explored schedule manifested.
  *
  * All flag parsing lives in analysis/cordlint_cli.h (unit-tested);
- * exit status: 0 = clean, 1 = findings, 2 = usage error.
+ * exit status: 0 = clean, 1 = findings, 2 = usage error or a trace
+ * file that cannot be read or is refused as corrupt.
  */
 
 #include <cstdio>
+#include <cstdlib>
 #include <optional>
 #include <string>
 #include <vector>
@@ -55,13 +57,28 @@ finish(const LintReport &report, const CordlintCli &cli)
     return 0;
 }
 
+/** Load the --trace file; one that cannot be read or that decodeTrace
+ *  refuses is an input error (exit 2). */
+DecodedTrace
+loadTraceOrExit(const std::string &path)
+{
+    DecodedTrace trace;
+    std::string err;
+    if (!loadTrace(path, trace, err)) {
+        std::fprintf(stderr, "cordlint: %s: %s\n", path.c_str(),
+                     err.c_str());
+        std::exit(2);
+    }
+    return trace;
+}
+
 int
 runCheckMode(const CordlintCli &cli)
 {
     std::vector<std::uint8_t> logBytes;
     std::optional<DecodedTrace> trace;
     if (!cli.tracePath.empty())
-        trace = loadTrace(cli.tracePath);
+        trace = loadTraceOrExit(cli.tracePath);
     if (!cli.logPath.empty())
         logBytes = loadLogBytes(cli.logPath);
 
@@ -80,23 +97,24 @@ runCheckMode(const CordlintCli &cli)
 int
 runPredictMode(const CordlintCli &cli)
 {
-    const DecodedTrace trace = loadTrace(cli.tracePath);
+    const DecodedTrace trace = loadTraceOrExit(cli.tracePath);
     LintReport report;
 
+    checkDeclaredThreads(trace, cli.threads, report);
+    if (report.errors() > 0)
+        return finish(report, cli);
     if (!cli.logPath.empty()) {
         const std::vector<std::uint8_t> logBytes =
             loadLogBytes(cli.logPath);
-        if (!predictInputsValid(logBytes, trace, cli.threads, 1,
-                                report)) {
+        if (!predictInputsValid(logBytes, trace, 1, report))
             return finish(report, cli);
-        }
     }
 
     PredictOptions opt;
     opt.sampleRate = cli.sampleRate;
     opt.maxWitnesses = cli.maxWitnesses;
     const PredictiveAnalysis pred =
-        PredictiveAnalysis::analyze(trace, cli.threads, opt);
+        PredictiveAnalysis::analyze(trace, opt);
     reportPrediction(pred, report);
 
     unsigned verified = 0;

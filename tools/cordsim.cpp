@@ -459,7 +459,7 @@ runCampaignMode(const Options &opt)
             std::snprintf(tag, sizeof tag, ".i%03u.s%03u", view.index,
                           view.schedule);
             if (!opt.accessTracePath.empty() && view.trace)
-                saveTrace(*view.trace,
+                saveTrace(view.trace->trace(),
                           opt.accessTracePath + tag + ".trace");
             for (const auto &det : view.detectors) {
                 const auto *cordDet =
@@ -471,7 +471,8 @@ runCampaignMode(const Options &opt)
                                  opt.logPath + tag + ".ordlog");
                 if (!opt.lint)
                     continue;
-                const LintReport rep = lintCordRun(*cordDet, *view.trace);
+                const LintReport rep =
+                    lintCordRun(*cordDet, view.trace->trace());
                 if (rep.errors() > 0 || rep.warnings() > 0) {
                     std::fputs(rep.renderText().c_str(), stderr);
                     std::fprintf(stderr,
@@ -969,7 +970,7 @@ main(int argc, char **argv)
     }
 
     if (!opt.accessTracePath.empty() && out.completed) {
-        saveTrace(trace, opt.accessTracePath);
+        saveTrace(trace.trace(), opt.accessTracePath);
         std::printf("access trace  : %zu events -> %s\n",
                     trace.events().size(), opt.accessTracePath.c_str());
     }
@@ -983,7 +984,7 @@ main(int argc, char **argv)
     std::string lintVerdict = "skipped";
     int lintExit = 0;
     if (opt.lint && out.completed) {
-        const LintReport lint = lintCordRun(cord, trace, opt.threads);
+        const LintReport lint = lintCordRun(cord, trace.trace());
         std::printf("---- cordlint ----\n%s",
                     lint.renderText().c_str());
         lintVerdict = lint.errors() > 0 ? "findings" : "clean";
